@@ -51,27 +51,12 @@ Commands
 
 ``stats FILE``
     For an MO document: print fact counts, granularity histogram, and
-    storage estimate.  For a metrics snapshot (``repro-metrics/1``) or a
-    benchmark document with an embedded snapshot (``repro-bench-*``):
-    render the snapshot in the format picked by ``--format``.
+    storage estimate.  For a metrics snapshot (``repro-metrics/1``):
+    render it in the format picked by ``--format``.
 
 ``explain MO_FILE SPEC_FILE --at YYYY-MM-DD``
     For every fact: which action caused its aggregation level, which
     source facts it stands for, and when it will next move.
-
-``bench [--smoke] [--out-dir DIR] [--repeats N] [--fail-under-speedup X]``
-    Run the performance benchmark suite and write machine-readable
-    ``BENCH_reduction.json`` / ``BENCH_sync.json`` trajectories;
-    ``--fail-under-speedup`` exits 1 when the columnar backend's speedup
-    over the interpretive reference falls below the given floor.
-    ``--workers N`` (repeatable) sets the shard-scaling sweep, and
-    ``--fail-under-efficiency X`` exits 1 when the sharded reduction's
-    parallel efficiency at the largest swept worker count falls below
-    the floor.  ``--durable PATH`` runs the synchronization suite
-    through the crash-safe store engine (``--no-fsync`` skips fsync for
-    speed).  ``--serving`` also runs the concurrent-serving benchmark
-    (a client fleet under continuous background sync) and writes
-    ``BENCH_serving.json``.
 
 ``serve MO_FILE SPEC_FILE --at YYYY-MM-DD [--port N] [--smoke]``
     Load the MO into a subcube store, synchronize it, and serve
@@ -318,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser(
         "stats",
-        help="statistics of a stored MO, metrics snapshot, or bench doc",
+        help="statistics of a stored MO or metrics snapshot",
     )
     stats.add_argument("mo_file")
     stats.add_argument(
@@ -334,74 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("mo_file")
     explain.add_argument("spec_file")
     explain.add_argument("--at", required=True)
-
-    bench = sub.add_parser(
-        "bench", help="run the performance benchmark suite"
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="use the small CI workload instead of the full one",
-    )
-    bench.add_argument(
-        "--out-dir",
-        default=".",
-        dest="out_dir",
-        help="directory for the BENCH_*.json documents (default: cwd)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="override the per-backend timing repeat count",
-    )
-    bench.add_argument(
-        "--fail-under-speedup",
-        type=float,
-        default=None,
-        dest="fail_under_speedup",
-        help="exit 1 when columnar/interpretive speedup drops below this",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        action="append",
-        default=None,
-        help="worker count for the shard-scaling sweep (repeatable; "
-        "1 is always included; default sweep: 1 2 4)",
-    )
-    bench.add_argument(
-        "--fail-under-efficiency",
-        type=float,
-        default=None,
-        dest="fail_under_efficiency",
-        help="exit 1 when sharded-reduction parallel efficiency at the "
-        "largest swept worker count drops below this",
-    )
-    bench.add_argument(
-        "--durable",
-        dest="durable_path",
-        default=None,
-        help="run the sync suite through a durable store at this directory",
-    )
-    bench.add_argument(
-        "--no-fsync",
-        action="store_true",
-        dest="no_fsync",
-        help="skip fsync calls in the durable store (faster, less durable)",
-    )
-    bench.add_argument(
-        "--serving",
-        action="store_true",
-        help="also run the serving benchmark (concurrent clients under "
-        "continuous sync) and write BENCH_serving.json",
-    )
-    bench.add_argument(
-        "--ingest",
-        action="store_true",
-        help="also run the streaming-ingest benchmark (group-commit "
-        "throughput and fsync amortization) and write BENCH_ingest.json",
-    )
 
     load = sub.add_parser(
         "load",
@@ -634,19 +551,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         if arguments.command == "stats":
             return _stats(arguments.mo_file, arguments.format)
-        if arguments.command == "bench":
-            return _bench(
-                arguments.out_dir,
-                arguments.smoke,
-                arguments.repeats,
-                arguments.fail_under_speedup,
-                arguments.durable_path,
-                not arguments.no_fsync,
-                arguments.workers,
-                arguments.fail_under_efficiency,
-                arguments.serving,
-                arguments.ingest,
-            )
         if arguments.command == "load":
             return _load(
                 arguments.durable_path,
@@ -1122,14 +1026,6 @@ def _stats(mo_file: str, format: str = "json") -> int:
     if schema == obs_metrics.SNAPSHOT_SCHEMA:
         print(obs_metrics.render_snapshot(document, format))
         return 0
-    if isinstance(schema, str) and schema.startswith("repro-bench-"):
-        embedded = document.get("metrics")
-        if embedded is None:
-            raise ReproError(
-                f"bench document {mo_file} has no embedded metrics snapshot"
-            )
-        print(obs_metrics.render_snapshot(embedded, format))
-        return 0
     mo = mo_from_dict(document)
     histogram = {
         "/".join(granularity): count
@@ -1149,126 +1045,6 @@ def _stats(mo_file: str, format: str = "json") -> int:
         )
     )
     return 0
-
-
-def _bench(
-    out_dir: str,
-    smoke: bool,
-    repeats: int | None,
-    fail_under_speedup: float | None,
-    durable_path: str | None = None,
-    fsync: bool = True,
-    workers: list[int] | None = None,
-    fail_under_efficiency: float | None = None,
-    serving: bool = False,
-    ingest: bool = False,
-) -> int:
-    from .bench import run_benchmarks
-
-    paths = run_benchmarks(
-        out_dir,
-        smoke=smoke,
-        repeats=repeats,
-        durable_path=durable_path,
-        fsync=fsync,
-        workers=tuple(workers) if workers else None,
-    )
-    with open(paths["BENCH_reduction.json"]) as stream:
-        reduction = json.load(stream)
-    with open(paths["BENCH_sync.json"]) as stream:
-        sync = json.load(stream)
-    speedup = reduction["speedup"]["columnar_vs_interpretive"]
-    print(
-        f"reduction: {reduction['workload']['facts']} facts, "
-        f"columnar {speedup:.2f}x interpretive "
-        f"({reduction['backends']['columnar']['ops_per_s']:.1f} op/s)"
-    )
-    curve = reduction["sharded"]["curve"]
-    for point in curve:
-        print(
-            f"sharded reduce @{point['workers']} workers "
-            f"({point['mode']}): {point['speedup_vs_serial']:.2f}x serial, "
-            f"efficiency {point['efficiency']:.2f}"
-        )
-    print(
-        f"sync: examined {sync['examined']['incremental']} incremental "
-        f"vs {sync['examined']['full']} full "
-        f"(saved {sync['examined']['saved']})"
-    )
-    if serving:
-        paths["BENCH_serving.json"] = _bench_serving(out_dir, smoke)
-    if ingest:
-        paths["BENCH_ingest.json"] = _bench_ingest(out_dir, smoke)
-    for name, path in paths.items():
-        print(f"wrote {path}")
-    failed = False
-    if fail_under_speedup is not None and speedup < fail_under_speedup:
-        print(
-            f"error: columnar speedup {speedup:.2f}x is below the "
-            f"{fail_under_speedup:.2f}x floor",
-            file=sys.stderr,
-        )
-        failed = True
-    if fail_under_efficiency is not None and curve:
-        top = max(curve, key=lambda point: point["workers"])
-        if top["efficiency"] < fail_under_efficiency:
-            print(
-                f"error: sharded-reduction efficiency "
-                f"{top['efficiency']:.2f} at {top['workers']} workers is "
-                f"below the {fail_under_efficiency:.2f} floor",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
-
-
-def _bench_serving(out_dir: str, smoke: bool) -> str:
-    """Run the serving benchmark and write ``BENCH_serving.json``."""
-    from .bench import FULL_PROFILE, SMOKE_PROFILE
-    from .io import atomic_write
-    from .serving.bench import run_serving_bench
-
-    document = run_serving_bench(SMOKE_PROFILE if smoke else FULL_PROFILE)
-    path = os.path.join(out_dir, "BENCH_serving.json")
-    with atomic_write(path) as stream:
-        json.dump(document, stream, indent=1, sort_keys=True)
-        stream.write("\n")
-    results = document["results"]
-    latency = document["latency"]
-    p99 = latency["p99_seconds"]
-    print(
-        f"serving: {results['requests_ok']} requests at "
-        f"{results['qps']:.0f} QPS over "
-        f"{results['syncs']['published']} background syncs, "
-        f"p99 {p99 * 1000.0:.2f} ms"
-        if p99 is not None
-        else "serving: no latency samples recorded"
-    )
-    return path
-
-
-def _bench_ingest(out_dir: str, smoke: bool) -> str:
-    """Run the ingest benchmark and write ``BENCH_ingest.json``."""
-    from .ingest.bench import run_ingest_bench
-    from .io import atomic_write
-
-    document = run_ingest_bench(smoke=smoke)
-    path = os.path.join(out_dir, "BENCH_ingest.json")
-    with atomic_write(path) as stream:
-        json.dump(document, stream, indent=1, sort_keys=True)
-        stream.write("\n")
-    batched = document["batched"]
-    amortization = document["fsync_amortization"]
-    ratio = amortization["ratio"]
-    print(
-        f"ingest: {batched['facts']} facts in {batched['batches']} "
-        f"group commits at {batched['facts_per_s']:.0f} facts/s, "
-        f"{batched['fsyncs']} fsyncs "
-        f"({ratio:.0f}x fewer per fact than per-fact journaling)"
-        if ratio is not None
-        else f"ingest: {batched['facts']} facts, fsync disabled"
-    )
-    return path
 
 
 def _load(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import datetime as _dt
 import time
 import types
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -207,33 +206,6 @@ class SubcubeStore:
         self.metrics.gauge(
             SYNC_LAST_EXAMINED, help=_HELP_LAST_EXAMINED
         ).set(0)
-
-    @property
-    def last_sync_examined(self) -> int:
-        """Deprecated alias for the ``repro_sync_last_examined`` gauge.
-
-        The attribute predates the metrics registry; read
-        ``store.metrics.value(SYNC_LAST_EXAMINED)`` instead.
-        """
-        warnings.warn(
-            "SubcubeStore.last_sync_examined is deprecated; read the "
-            "repro_sync_last_examined gauge from store.metrics instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return int(self.metrics.value(SYNC_LAST_EXAMINED) or 0)
-
-    @last_sync_examined.setter
-    def last_sync_examined(self, value: int) -> None:
-        warnings.warn(
-            "SubcubeStore.last_sync_examined is deprecated; write the "
-            "repro_sync_last_examined gauge on store.metrics instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.metrics.gauge(
-            SYNC_LAST_EXAMINED, help=_HELP_LAST_EXAMINED
-        ).set(value)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,9 +14,7 @@ are already in:
   one fsync'd journal record per batch instead of per fact;
 * :mod:`repro.ingest.pressure` — :class:`BoundedBuffer`, bounded-queue
   backpressure so a slow disk stalls producers instead of ballooning
-  memory;
-* :mod:`repro.ingest.bench` — the throughput benchmark behind
-  ``repro bench --ingest`` (``BENCH_ingest.json``).
+  memory.
 
 See ``docs/ingest.md`` for formats, semantics, and knobs.
 """

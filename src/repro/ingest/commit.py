@@ -6,7 +6,7 @@ batch through one ``SubcubeStore.load`` call.  On a durable store that
 is exactly one ``load`` journal record — written and fsynced *before*
 any insert — so a batch is atomic under crash: recovery replays all of
 it or none of it, never a prefix.  The fsync cost amortizes over the
-batch (``repro bench --ingest`` measures the ratio).
+batch (``benchmarks/pipeline`` counts them as ``engine.durable.fsyncs``).
 
 Flush triggers, in the order checked on every :meth:`add`:
 

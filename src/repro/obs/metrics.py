@@ -9,8 +9,8 @@ run actually did.  This module holds them:
   metric kinds, Prometheus-style: monotone :class:`Counter`, free-moving
   :class:`Gauge`, and :class:`Histogram` with fixed upper-bound buckets;
 * :meth:`MetricsRegistry.snapshot` renders the whole registry as a
-  schema-tagged JSON document (``repro-metrics/1``) that ``repro bench``
-  embeds in its ``BENCH_*.json`` trajectories;
+  schema-tagged JSON document (``repro-metrics/1``) that the CLI's
+  ``--stats`` flags and the serving ``stats`` op print;
 * :func:`snapshot_to_prometheus` / :func:`snapshot_to_text` render a
   snapshot (live or loaded from an artifact) as Prometheus text
   exposition format or a human-readable table.
@@ -114,30 +114,6 @@ class Histogram:
             out.append((bound, running))
         out.append((math.inf, running + self.counts[-1]))
         return out
-
-    def quantile(self, q: float) -> float | None:
-        """Estimate the *q*-quantile (Prometheus ``histogram_quantile``
-        style: linear interpolation inside the owning bucket, the last
-        finite bound for observations in the ``+Inf`` bucket).  ``None``
-        when the histogram is empty."""
-        if not 0.0 <= q <= 1.0:
-            raise ObsError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return None
-        rank = q * self.count
-        running = 0
-        lower = 0.0
-        for bound, count in zip(self.bounds, self.counts):
-            running += count
-            if running >= rank:
-                if count == 0:
-                    return bound
-                fraction = (rank - (running - count)) / count
-                return lower + (bound - lower) * fraction
-            lower = bound
-        # The quantile falls in the +Inf bucket: the last finite bound is
-        # the best (conservative) point estimate available.
-        return self.bounds[-1] if self.bounds else None
 
 
 class _Family:

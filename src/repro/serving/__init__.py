@@ -11,9 +11,7 @@ The layers, bottom up:
 * :mod:`~repro.serving.server` / :mod:`~repro.serving.client` — an
   asyncio JSON-line protocol with per-request deadlines, bounded
   admission (429 backpressure), and a retrying client with seeded
-  exponential backoff;
-* :mod:`~repro.serving.bench` — the sustained-QPS-under-continuous-sync
-  benchmark behind ``BENCH_serving.json``.
+  exponential backoff.
 
 See ``docs/serving.md`` for the protocol and failure semantics.
 """

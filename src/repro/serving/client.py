@@ -22,6 +22,10 @@ from typing import Mapping
 
 from ..errors import ServingError
 
+#: Longest response line the client accepts.  A query answer is one
+#: JSON line, and asyncio's 64 KiB default is a few hundred rows.
+RESPONSE_LINE_LIMIT = 1 << 24
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -86,7 +90,7 @@ class ServingClient:
 
     async def connect(self) -> None:
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=RESPONSE_LINE_LIMIT
         )
 
     async def close(self) -> None:
@@ -149,7 +153,13 @@ class ServingClient:
             json.dumps(dict(payload), sort_keys=True).encode("utf-8") + b"\n"
         )
         await self._writer.drain()
-        line = await self._reader.readline()
+        try:
+            line = await self._reader.readline()
+        except ValueError as exc:
+            # The reader dropped part of the line; the stream cannot be
+            # resynchronized, and a retry would get the same answer.
+            await self.close()
+            raise ServingError(f"response line too long: {exc}") from exc
         if not line:
             raise ConnectionResetError("server closed the connection")
         document = json.loads(line)

@@ -154,7 +154,21 @@ class QueryServer:
             task.add_done_callback(self._connections.discard)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the stream limit: the reader dropped part of
+                    # the line, so this connection cannot be resynchronized.
+                    response = self._error(
+                        None, None,
+                        400, "request line too long", time.perf_counter(),
+                    )
+                    writer.write(
+                        json.dumps(response, sort_keys=True).encode("utf-8")
+                        + b"\n"
+                    )
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 response = await self._handle_line(line)

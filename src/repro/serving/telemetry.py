@@ -3,8 +3,7 @@
 Every family reports into the serving service's registry (the same
 per-store registry the sync/query/durability counters live in, so one
 Prometheus scrape or ``stats`` op covers the whole server).  Catalogued
-in ``docs/observability.md``; the serving benchmark derives its
-QPS/p99 headline numbers from exactly these families.
+in ``docs/observability.md``.
 """
 
 from __future__ import annotations

@@ -150,19 +150,6 @@ class TestSyncInvariants:
         assert value(store, SYNC_LAST_EXAMINED) == store.total_facts()
 
 
-class TestDeprecationShim:
-    def test_read_warns_and_mirrors_the_gauge(self, store):
-        store.synchronize(SNAPSHOT_TIMES[0])
-        with pytest.warns(DeprecationWarning, match="last_sync_examined"):
-            legacy = store.last_sync_examined
-        assert legacy == value(store, SYNC_LAST_EXAMINED)
-
-    def test_write_warns_and_updates_the_gauge(self, store):
-        with pytest.warns(DeprecationWarning, match="last_sync_examined"):
-            store.last_sync_examined = 41
-        assert value(store, SYNC_LAST_EXAMINED) == 41
-
-
 class TestDurableTelemetry:
     def test_journal_and_snapshot_counters(self, mo, tmp_path):
         store = DurableStore.create(

@@ -2,8 +2,6 @@
 
 import json
 import pathlib
-import subprocess
-import sys
 
 import jsonschema
 import pytest
@@ -12,7 +10,6 @@ from repro.obs.metrics import TIME_BUCKETS, MetricsRegistry
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SCHEMA_PATH = REPO_ROOT / "docs" / "schemas" / "metrics-snapshot.schema.json"
-VALIDATOR = REPO_ROOT / "tools" / "validate_bench_metrics.py"
 
 
 @pytest.fixture(scope="module")
@@ -52,35 +49,3 @@ def test_schema_rejects_malformed_sample(schema):
     snapshot["metrics"][0]["samples"][0] = {"labels": {}, "value": "high"}
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(snapshot, schema)
-
-
-def test_validator_tool_accepts_bench_documents(tmp_path):
-    good = tmp_path / "BENCH_demo.json"
-    good.write_text(
-        json.dumps(
-            {
-                "schema": "repro-bench-reduction/2",
-                "metrics": full_registry().snapshot(),
-            }
-        )
-    )
-    bare = tmp_path / "snapshot.json"
-    bare.write_text(json.dumps(full_registry().snapshot()))
-    result = subprocess.run(
-        [sys.executable, str(VALIDATOR), str(good), str(bare)],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-
-
-def test_validator_tool_rejects_missing_snapshot(tmp_path):
-    stale = tmp_path / "BENCH_stale.json"
-    stale.write_text(json.dumps({"schema": "repro-bench-sync/1"}))
-    result = subprocess.run(
-        [sys.executable, str(VALIDATOR), str(stale)],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 1
-    assert "no embedded metrics snapshot" in result.stderr

@@ -163,3 +163,24 @@ class TestRetryBehaviour:
             assert client.reconnects >= 1
 
         asyncio.run(body())
+
+    def test_over_limit_response_is_a_serving_error(self, monkeypatch):
+        from repro.serving import client as client_module
+
+        monkeypatch.setattr(client_module, "RESPONSE_LINE_LIMIT", 1024)
+
+        async def body():
+            server, host, port, requests = await scripted_server(
+                [{"ok": True, "rows": ["x" * 2048]}]
+            )
+            client = ServingClient(host, port)
+            with pytest.raises(ServingError, match="response line too long"):
+                await client.ping()
+            await client.close()
+            server.close()
+            await server.wait_closed()
+            # Not retried: the same answer would overflow again.
+            assert len(requests) == 1
+            assert client.reconnects == 0
+
+        asyncio.run(body())

@@ -6,11 +6,13 @@ parallel-safe.
 """
 
 import asyncio
+import datetime as dt
 import json
 
 import pytest
 
 from repro.engine.faults import FaultInjector, SlowFault
+from repro.engine.queryproc import SubcubeQuery
 from repro.errors import ServingError
 from repro.engine.store import SubcubeStore
 from repro.experiments.paper_example import (
@@ -18,12 +20,20 @@ from repro.experiments.paper_example import (
     build_paper_mo,
     paper_specification,
 )
+from repro.query.algebra import mo_rows
 from repro.serving import (
     QueryServer,
     RetryPolicy,
     ServerConfig,
     ServingClient,
     ServingService,
+)
+
+from repro.spec.specification import ReductionSpecification
+from repro.workload import (
+    ClickstreamConfig,
+    build_clickstream_mo,
+    grouped_retention_actions,
 )
 
 from ..engine.durableutil import facts_of
@@ -139,6 +149,44 @@ class TestRoundTrip:
         serve(body)
 
 
+class TestLargeResponse:
+    def test_answer_over_64_kib_round_trips(self):
+        config = ClickstreamConfig(
+            start=dt.date(2000, 1, 1),
+            end=dt.date(2000, 1, 31),
+            domains_per_group=3,
+            urls_per_domain=3,
+            clicks_per_day=30,
+            seed=7,
+        )
+        mo = build_clickstream_mo(config)
+        specification = ReductionSpecification(
+            grouped_retention_actions(mo, detail_months=3, coarse_years=2),
+            mo.dimensions,
+        )
+        now = dt.date(2000, 2, 1)
+        store = SubcubeStore(mo, specification)
+        store.load(facts_of(mo))
+        store.synchronize(now)
+        service = ServingService(store)
+        granularity = {"Time": "day", "URL": "url"}
+
+        async def body(server, service, faults):
+            host, port = server.address
+            async with ServingClient(host, port) as client:
+                return await client.query(
+                    now.isoformat(), granularity=granularity
+                )
+
+        response = serve(body, service=service)
+        assert response["ok"], response
+        expected, _, _ = service.query(SubcubeQuery(None, granularity), now)
+        # The wire carries JSON: tuples come back as lists.
+        expected_rows = json.loads(json.dumps(mo_rows(expected)))
+        assert len(json.dumps(expected_rows)) > 1 << 16
+        assert response["rows"] == expected_rows
+
+
 class TestBadRequests:
     def test_malformed_json_is_400(self):
         async def body(server, service, faults):
@@ -166,6 +214,28 @@ class TestBadRequests:
         async def body(server, service, faults):
             response = await raw_request(server, {"op": "query"})
             assert response["error"]["code"] == 400
+
+        serve(body)
+
+    def test_over_limit_request_line_is_400_and_closes_only_that_connection(
+        self,
+    ):
+        async def body(server, service, faults):
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            # One byte past asyncio's default 64 KiB stream limit.
+            writer.write(b"x" * ((1 << 16) + 1) + b"\n")
+            await writer.drain()
+            response = json.loads(await reader.readline())
+            assert not response["ok"]
+            assert response["error"] == {
+                "code": 400,
+                "reason": "request line too long",
+            }
+            assert await reader.readline() == b""  # server hung up
+            writer.close()
+            await writer.wait_closed()
+            assert (await raw_request(server, {"op": "ping"}))["ok"]
 
         serve(body)
 

@@ -229,6 +229,26 @@ class TestStats:
         assert document["facts"] == 7
         assert document["granularities"] == {"day/url": 7}
 
+    def test_stats_rejects_a_pipeline_benchmark_document(
+        self, tmp_path, capsys
+    ):
+        # Its "metrics" key maps names to {value, unit}; it is not a
+        # repro-metrics/1 snapshot, so stats treats the file as an MO.
+        path = tmp_path / "result.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": "repro-bench-pipeline/1",
+                    "workload": "backfill",
+                    "metrics": {"setup_s": {"value": 1.0, "unit": "s"}},
+                }
+            )
+        )
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unsupported MO document format None\n"
+
 class TestExplain:
     def test_explain_output(self, stored, capsys):
         mo_file, spec_file = stored
@@ -503,27 +523,6 @@ class TestObservabilityCli:
         assert main(["stats", str(path), "--format", "text"]) == 0
         assert "repro_demo_total  3" in capsys.readouterr().out
 
-    def test_stats_detects_bench_document(self, tmp_path, capsys):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.gauge("repro_sync_last_examined").set(9)
-        bench = {
-            "schema": "repro-bench-sync/2",
-            "metrics": registry.snapshot(),
-        }
-        path = tmp_path / "BENCH_sync.json"
-        path.write_text(json.dumps(bench))
-        assert main(["stats", str(path)]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "repro-metrics/1"
-
-    def test_stats_bench_without_metrics_errors(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_old.json"
-        path.write_text(json.dumps({"schema": "repro-bench-sync/1"}))
-        assert main(["stats", str(path)]) == 2
-        assert "no embedded metrics snapshot" in capsys.readouterr().err
-
 
 class TestFiguresAndDemo:
     def test_one_figure(self, capsys):
@@ -533,90 +532,16 @@ class TestFiguresAndDemo:
     def test_unknown_figure(self, capsys):
         assert main(["figures", "42"]) == 2
 
+    def test_bench_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", "--smoke"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
         assert "reduced at 2000-11-05: 4 facts" in out
-
-
-class TestBench:
-    def test_smoke_writes_schema_stable_documents(self, tmp_path, capsys):
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--out-dir",
-                str(tmp_path),
-                "--repeats",
-                "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "BENCH_reduction.json" in out
-        assert "BENCH_sync.json" in out
-
-        reduction = json.loads((tmp_path / "BENCH_reduction.json").read_text())
-        assert reduction["schema"] == "repro-bench-reduction/2"
-        assert set(reduction["backends"]) == {
-            "interpretive",
-            "compiled",
-            "columnar",
-        }
-        for block in reduction["backends"].values():
-            assert block["seconds"] > 0
-            assert block["output_facts"] > 0
-        assert reduction["speedup"]["columnar_vs_interpretive"] > 0
-        assert reduction["environment"]["cpu_count"] >= 1
-        assert reduction["environment"]["workers_sweep"] == [1, 2, 4]
-        curve = reduction["sharded"]["curve"]
-        assert [point["workers"] for point in curve] == [1, 2, 4]
-        for point in curve:
-            assert point["seconds"] > 0
-            assert point["mode"] in ("serial", "process")
-            assert point["efficiency"] > 0
-        assert reduction["metrics"]["schema"] == "repro-metrics/1"
-        runs = next(
-            family
-            for family in reduction["metrics"]["metrics"]
-            if family["name"] == "repro_reduce_runs_total"
-        )
-        # One warm-up + one timed repeat per serial backend (the sharded
-        # sweep lands under its own "sharded-*" backend label).
-        serial = [
-            sample
-            for sample in runs["samples"]
-            if not sample["labels"]["backend"].startswith("sharded-")
-        ]
-        assert len(serial) == 3
-        assert all(sample["value"] == 2 for sample in serial)
-
-        sync = json.loads((tmp_path / "BENCH_sync.json").read_text())
-        assert sync["schema"] == "repro-bench-sync/2"
-        assert sync["metrics"]["schema"] == "repro-metrics/1"
-        assert sync["environment"]["workers_sweep"] == [1, 2, 4]
-        assert len(sync["sharded"]["curve"]) == 3
-        assert sync["sharded"]["baseline_seconds"] > 0
-        assert len(sync["steps"]) == 2
-        for step in sync["steps"]:
-            assert step["incremental"]["examined"] <= step["full"]["examined"]
-        assert sync["examined"]["saved"] >= 0
-
-    def test_fail_under_speedup_gate(self, tmp_path, capsys):
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--out-dir",
-                str(tmp_path),
-                "--repeats",
-                "1",
-                "--fail-under-speedup",
-                "1e9",  # impossible floor: the gate must trip
-            ]
-        )
-        assert code == 1
-        assert "is below the" in capsys.readouterr().err
 
 
 class TestDurableCommands:
@@ -746,27 +671,6 @@ class TestDurableCommands:
         store.close()
         assert main(["audit", str(tmp_path / "broken")]) == 1
         assert "audit FAILED" in capsys.readouterr().out
-
-    def test_bench_smoke_with_durable_store(self, tmp_path, capsys):
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--out-dir",
-                str(tmp_path),
-                "--repeats",
-                "1",
-                "--durable",
-                str(tmp_path / "bench_store"),
-                "--no-fsync",
-            ]
-        )
-        assert code == 0
-        sync = json.loads((tmp_path / "BENCH_sync.json").read_text())
-        assert sync["durable"]["fsync"] is False
-        assert sync["durable"]["audit_ok"] is True
-        assert sync["durable"]["journal_lsn"] > 0
-        assert main(["audit", str(tmp_path / "bench_store")]) == 0
 
 
 class TestAnalyze:

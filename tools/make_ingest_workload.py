@@ -9,8 +9,7 @@ Writes three files the ``repro load`` command consumes directly:
 
 * ``clicks.jsonl`` — one ``{"id", "coordinates", "measures"}`` row per
   clickstream fact (102,340 facts for the full profile, 3,600 for
-  ``--smoke``), the same deterministic stream ``repro bench --ingest``
-  measures;
+  ``--smoke``), a deterministic stream (seed 1234);
 * ``template.json`` — the empty clickstream MO (schema + dimensions)
   for ``--mo`` store creation;
 * ``spec.txt`` — the grouped-retention reduction specification for
@@ -24,6 +23,7 @@ profiling against a file-based source instead of an in-process one.
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import json
 import os
 import sys
@@ -32,13 +32,28 @@ from dataclasses import replace
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.ingest.bench import FULL_CONFIG, SMOKE_CONFIG  # noqa: E402
 from repro.io import dump_specification, mo_to_dict  # noqa: E402
 from repro.spec.specification import ReductionSpecification  # noqa: E402
 from repro.workload import (  # noqa: E402
+    ClickstreamConfig,
     build_clickstream_mo,
     generate_clicks,
     grouped_retention_actions,
+)
+
+#: 731 days x 140 clicks/day = 102,340 facts.
+FULL_CONFIG = ClickstreamConfig(
+    start=dt.date(1999, 1, 1),
+    end=dt.date(2000, 12, 31),
+    domains_per_group=3,
+    urls_per_domain=3,
+    clicks_per_day=140,
+    seed=1234,
+)
+
+#: CI-sized: 90 days x 40 clicks/day = 3,600 facts.
+SMOKE_CONFIG = replace(
+    FULL_CONFIG, end=dt.date(1999, 3, 31), clicks_per_day=40
 )
 
 
