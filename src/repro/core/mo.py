@@ -56,6 +56,10 @@ class MultidimensionalObject:
             for mt in schema.measure_types
         }
         self._facts: dict[str, Provenance] = {}
+        #: Bumped by every fact mutation (``_insert``, ``delete_fact``;
+        #: ``SubCube.clear`` carries it over to the replacement MO), so
+        #: an unchanged count means an unchanged fact set.
+        self.mutations = 0
 
     # ------------------------------------------------------------------
     # Facts
@@ -130,6 +134,7 @@ class MultidimensionalObject:
         canonical = validator.validate_row(
             fact_id, coordinates, measure_values, bottom_only=bottom_only
         )
+        self.mutations += 1
         for name in self.schema.dimension_names:
             self.relations[name].link(fact_id, canonical[name])
         for name in self.schema.measure_names:
@@ -144,6 +149,7 @@ class MultidimensionalObject:
             check_unsealed(self, f"delete of fact {fact_id!r}")
         if fact_id not in self._facts:
             raise FactError(f"unknown fact {fact_id!r}")
+        self.mutations += 1
         for relation in self.relations.values():
             relation.unlink(fact_id)
         for measure in self.measures.values():

@@ -13,9 +13,11 @@ module makes every store mutation durable and atomic:
   monotonically increasing LSN and a CRC-32 checksum, fsynced at commit
   points;
 * **atomic snapshots** (``snapshots/snap-<lsn>.json`` + a ``CURRENT``
-  manifest): the whole store serialized per cube via
-  :func:`repro.io.mo_to_dict`, written temp-file-first and published
-  with ``os.replace`` so a crash never corrupts the previous snapshot;
+  manifest): every cube's facts (its memoized
+  :class:`~repro.engine.subcube.FactBlock` text — dimensions live in
+  ``template.json``, written once), written temp-file-first and
+  published with ``os.replace`` so a crash never corrupts the previous
+  snapshot; the newest :data:`SNAPSHOTS_KEPT` documents are retained;
 * **recovery** (:func:`open_durable`): load the latest valid snapshot,
   replay the journal tail, discard torn or checksum-failing trailing
   records, and skip uncommitted transactions — the recovered store is
@@ -32,7 +34,7 @@ Layout of a durable store directory::
     template.json    the empty warehouse (schema + dimension values)
     spec.txt         the specification the store was created with
     journal.jsonl    the write-ahead journal
-    snapshots/       snap-<lsn>.json snapshot documents
+    snapshots/       snap-<lsn>.json snapshot documents (newest two)
     CURRENT          manifest naming the latest published snapshot
 
 Measure values and coordinates must be JSON-serializable (strings,
@@ -55,6 +57,7 @@ from ..core.mo import MultidimensionalObject
 from ..errors import DurabilityError, RecoveryError, ReproError
 from ..io import (
     atomic_write,
+    canonical_json,
     dump_specification,
     fsync_directory,
     load_specification,
@@ -88,11 +91,15 @@ JOURNAL_FILE = "journal.jsonl"
 SNAPSHOT_DIR = "snapshots"
 MANIFEST_FILE = "CURRENT"
 
+#: Snapshot documents retained after a publish: the current one and one
+#: fallback.  The journal is never truncated, so any kept snapshot plus
+#: replay reconstructs the state.
+SNAPSHOTS_KEPT = 2
+
 
 def _crc(body: Mapping[str, object]) -> int:
     """CRC-32 over the canonical JSON encoding of a record body."""
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canonical.encode("utf-8"))
+    return zlib.crc32(canonical_json(body).encode("utf-8"))
 
 
 class JournalRecord(NamedTuple):
@@ -145,10 +152,10 @@ class Journal:
     def append(self, op: str, data: dict, *, sync: bool = False) -> int:
         self._faults.hit("journal.append")
         lsn = self._next_lsn
-        body = {"lsn": lsn, "op": op, "data": data}
-        record = dict(body)
-        record["crc"] = _crc(body)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        body = canonical_json({"lsn": lsn, "op": op, "data": data})
+        # ``crc`` sorts before ``data``/``lsn``/``op``, so splicing it in
+        # front yields the canonical encoding of the whole record.
+        line = f'{{"crc":{zlib.crc32(body.encode("utf-8"))},{body[1:]}\n'
         try:
             self._faults.hit("journal.torn")
         except InjectedFault:
@@ -181,9 +188,10 @@ class Journal:
             {"op": op},
             help="Records appended to the journal, by operation.",
         ).inc()
+        # json.dumps escapes non-ASCII, so characters written == bytes.
         self.metrics.counter(
             JOURNAL_BYTES, help="Bytes appended to the journal."
-        ).inc(len(line.encode("utf-8")))
+        ).inc(len(line))
         return lsn
 
     def close(self) -> None:
@@ -558,23 +566,29 @@ class DurableStore(SubcubeStore):
         lsn = self._journal.last_lsn
         spec_stream = _stdio.StringIO()
         dump_specification(self._specification, spec_stream)
-        body = {
-            "format": FORMAT_VERSION,
-            "lsn": lsn,
-            "last_sync": (
-                self.last_sync.isoformat() if self.last_sync else None
-            ),
-            "last_sync_examined": int(
-                self.metrics.value(SYNC_LAST_EXAMINED) or 0
-            ),
-            "dirty": sorted(self._dirty),
-            "spec": spec_stream.getvalue(),
-            "cubes": {
-                name: mo_to_dict(cube.mo)
-                for name, cube in self.cubes.items()
-            },
-        }
-        crc = _crc(body)
+        header = canonical_json(
+            {
+                "format": FORMAT_VERSION,
+                "lsn": lsn,
+                "last_sync": (
+                    self.last_sync.isoformat() if self.last_sync else None
+                ),
+                "last_sync_examined": int(
+                    self.metrics.value(SYNC_LAST_EXAMINED) or 0
+                ),
+                "dirty": sorted(self._dirty),
+                "spec": spec_stream.getvalue(),
+            }
+        )
+        cubes = ",".join(
+            f'{json.dumps(name)}:{{"facts":{cube.frozen_block().text}}}'
+            for name, cube in sorted(self.cubes.items())
+        )
+        # ``cubes`` sorts before every header key and each block text is
+        # canonical already, so the splice *is* the sorted compact
+        # encoding of the body that _crc() re-derives at recovery.
+        body = f'{{"cubes":{{{cubes}}},{header[1:]}'
+        crc = zlib.crc32(body.encode("utf-8"))
         directory = os.path.join(self.path, SNAPSHOT_DIR)
         os.makedirs(directory, exist_ok=True)
         filename = f"snap-{lsn:012d}.json"
@@ -586,7 +600,7 @@ class DurableStore(SubcubeStore):
         self._faults.hit("disk.enospc")
         self._faults.hit("disk.eio")
         with open(tmp_path, "w", encoding="utf-8") as stream:
-            json.dump({"crc": crc, "snapshot": body}, stream, sort_keys=True)
+            stream.write(f'{{"crc":{crc},"snapshot":{body}}}')
             stream.flush()
             self._faults.hit("snapshot.fsync")
             if self._fsync_enabled:
@@ -600,6 +614,7 @@ class DurableStore(SubcubeStore):
             os.path.join(self.path, MANIFEST_FILE), fsync=self._fsync_enabled
         ) as stream:
             json.dump({"file": filename, "lsn": lsn, "crc": crc}, stream)
+        _prune_snapshots(directory)
         self.metrics.counter(
             SNAPSHOT_WRITES, help="Snapshots atomically published."
         ).inc()
@@ -744,6 +759,31 @@ def open_durable(
     return store, report
 
 
+def _snapshot_files(directory: str) -> list[str]:
+    """Published snapshot documents in *directory*, newest first."""
+    return sorted(
+        (
+            name
+            for name in os.listdir(directory)
+            if name.startswith("snap-") and name.endswith(".json")
+        ),
+        reverse=True,
+    )
+
+
+def _prune_snapshots(directory: str) -> None:
+    """Delete all but the newest :data:`SNAPSHOTS_KEPT` snapshots."""
+    try:
+        stale = _snapshot_files(directory)[SNAPSHOTS_KEPT:]
+    except OSError:
+        return
+    for name in stale:
+        try:
+            os.remove(os.path.join(directory, name))
+        except OSError:
+            pass
+
+
 def _load_latest_snapshot(path: str) -> dict | None:
     """The newest snapshot body that exists and checksums, else None.
 
@@ -764,8 +804,7 @@ def _load_latest_snapshot(path: str) -> dict | None:
     if os.path.isdir(directory):
         candidates.extend(
             os.path.join(directory, name)
-            for name in sorted(os.listdir(directory), reverse=True)
-            if name.startswith("snap-") and name.endswith(".json")
+            for name in _snapshot_files(directory)
         )
     for candidate in candidates:
         try:

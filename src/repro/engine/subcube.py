@@ -7,12 +7,38 @@ evaluation time) exactly which cells it owns.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+import zlib
+from typing import Iterator, Mapping, NamedTuple
 
 from ..core.facts import Provenance, aggregate_fact_id
 from ..core.mo import MultidimensionalObject
 from ..errors import EngineError
+from ..io import canonical_json, mo_facts_to_list
 from .disjoint import DisjointAction
+
+
+class FactBlock(NamedTuple):
+    """A subcube's facts frozen at one mutation count.
+
+    What the durable snapshot writes (``text``), what the version
+    fingerprint hashes (``crc``) and what a published version reads
+    (``mo``) are derived together, once per change, by
+    :meth:`SubCube.frozen_block`.
+    """
+
+    #: An immutable copy of the cube's MO (never handed to a writer).
+    mo: MultidimensionalObject
+    #: Canonical compact JSON of the facts, sorted by id.
+    text: str
+    #: CRC-32 of ``text``.
+    crc: int
+
+    @classmethod
+    def of(cls, mo: MultidimensionalObject) -> "FactBlock":
+        """Derive the block from *mo*'s content (no memo involved)."""
+        frozen = mo.copy()
+        text = canonical_json(mo_facts_to_list(frozen))
+        return cls(frozen, text, zlib.crc32(text.encode("utf-8")))
 
 
 class SubCube:
@@ -29,6 +55,8 @@ class SubCube:
     ) -> None:
         self.definition = definition
         self._mo = template.empty_like()
+        #: ``(mutation count, block)`` of the last :meth:`frozen_block`.
+        self._block: tuple[int, FactBlock] | None = None
 
     @property
     def name(self) -> str:
@@ -130,7 +158,23 @@ class SubCube:
             from ..sanitize import check_unsealed
 
             check_unsealed(self, f"clear of cube {self.name!r}")
+        mutations = self._mo.mutations
         self._mo = self._mo.empty_like()
+        self._mo.mutations = mutations + 1
+
+    def frozen_block(self) -> FactBlock:
+        """The cube's :class:`FactBlock`, re-derived only after a mutation."""
+        mutations = self._mo.mutations
+        memo = self._block
+        if memo is None or memo[0] != mutations:
+            memo = self._block = (mutations, FactBlock.of(self._mo))
+        return memo[1]
+
+    def share_frozen(self, live: "SubCube") -> None:
+        """Hold *live*'s frozen MO (and its block) instead of a copy."""
+        block = live.frozen_block()
+        self._mo = block.mo
+        self._block = (block.mo.mutations, block)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         granularity = "/".join(self.granularity)

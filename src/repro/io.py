@@ -93,8 +93,18 @@ def fsync_directory(directory: str) -> None:
 # MO -> dict -> MO
 # ----------------------------------------------------------------------
 
-def mo_to_dict(mo: MultidimensionalObject) -> dict:
-    """A JSON-serializable description of the complete MO."""
+def canonical_json(value: object) -> str:
+    """The one encoding checksums are taken over: sorted keys, compact.
+
+    Re-encoding the parse of a canonical text yields the same text, so
+    canonical fragments can be spliced into a larger canonical document
+    (the journal line, the durable snapshot body).
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def mo_schema_to_dict(mo: MultidimensionalObject) -> dict:
+    """The dimension half of an MO document: everything but the facts."""
     dimensions = {}
     for name, dimension in mo.dimensions.items():
         hierarchy = dimension.dimension_type.hierarchy
@@ -115,22 +125,6 @@ def mo_to_dict(mo: MultidimensionalObject) -> dict:
             "time_like": is_time_dimension_type(mo.schema.dimension_type(name)),
             "values": values,
         }
-    facts = []
-    for fact_id in sorted(mo.facts()):
-        facts.append(
-            {
-                "id": fact_id,
-                "coordinates": {
-                    name: mo.direct_value(fact_id, name)
-                    for name in mo.schema.dimension_names
-                },
-                "measures": {
-                    name: mo.measure_value(fact_id, name)
-                    for name in mo.schema.measure_names
-                },
-                "members": sorted(mo.provenance(fact_id).members),
-            }
-        )
     return {
         "format": FORMAT_VERSION,
         "fact_type": mo.schema.fact_type,
@@ -140,8 +134,31 @@ def mo_to_dict(mo: MultidimensionalObject) -> dict:
             {"name": mt.name, "aggregate": mt.aggregate.name}
             for mt in mo.schema.measure_types
         ],
-        "facts": facts,
     }
+
+
+def mo_facts_to_list(mo: MultidimensionalObject) -> list[dict]:
+    """The facts half of an MO document, sorted by fact id."""
+    return [
+        {
+            "id": fact_id,
+            "coordinates": {
+                name: mo.direct_value(fact_id, name)
+                for name in mo.schema.dimension_names
+            },
+            "measures": {
+                name: mo.measure_value(fact_id, name)
+                for name in mo.schema.measure_names
+            },
+            "members": sorted(mo.provenance(fact_id).members),
+        }
+        for fact_id in sorted(mo.facts())
+    ]
+
+
+def mo_to_dict(mo: MultidimensionalObject) -> dict:
+    """A JSON-serializable description of the complete MO."""
+    return {**mo_schema_to_dict(mo), "facts": mo_facts_to_list(mo)}
 
 
 def _require(mapping: Mapping, key: str, path: str) -> object:

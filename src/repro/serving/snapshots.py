@@ -1,6 +1,6 @@
 """MVCC-style store snapshots: readers on version N, sync publishes N+1.
 
-A :class:`StoreSnapshot` is a deep, immutable copy of a
+A :class:`StoreSnapshot` is an immutable twin of a
 :class:`~repro.engine.store.SubcubeStore` taken at a publication point
 (right after a committed synchronization, mirroring the durable engine's
 atomic snapshot protocol: build the complete new state off to the side,
@@ -26,8 +26,8 @@ from .. import sanitize
 from ..core.mo import MultidimensionalObject
 from ..engine.queryproc import SubcubeQuery, plan_cache, query_store
 from ..engine.store import SubcubeStore
+from ..engine.subcube import FactBlock
 from ..errors import ServingError
-from ..io import mo_to_dict
 from ..obs import metrics as obs_metrics
 from . import telemetry
 
@@ -37,17 +37,37 @@ def store_fingerprint(store: SubcubeStore) -> str:
 
     Two stores with equal fingerprints are observably identical; a
     snapshot whose recomputed fingerprint differs from the one taken at
-    publication has been mutated after publish — a torn version.
+    publication has been mutated after publish — a torn version.  Each
+    cube contributes the CRC of its memoized fact block, so only cubes
+    mutated since the last call are re-serialized.
     """
+    return _fingerprint(
+        store,
+        {name: cube.frozen_block().crc for name, cube in store.cubes.items()},
+    )
+
+
+def _fingerprint(store: SubcubeStore, cube_crcs: dict[str, int]) -> str:
+    """Hash per-cube fact-block CRCs with everything the cubes share.
+
+    The dimension digests are recomputed from content on every call;
+    only the fact-block CRCs may come from a memo.
+    """
+    schema = store._template.schema
     canonical = json.dumps(
         {
-            "cubes": {
-                name: mo_to_dict(cube.mo)
-                for name, cube in store.cubes.items()
+            "cubes": cube_crcs,
+            "dimensions": {
+                name: dimension.digest()
+                for name, dimension in store._template.dimensions.items()
             },
+            "fact_type": schema.fact_type,
             "last_sync": (
                 store.last_sync.isoformat() if store.last_sync else None
             ),
+            "measures": [
+                [mt.name, mt.aggregate.name] for mt in schema.measure_types
+            ],
         },
         sort_keys=True,
     )
@@ -55,17 +75,17 @@ def store_fingerprint(store: SubcubeStore) -> str:
 
 
 def _freeze(store: SubcubeStore) -> SubcubeStore:
-    """A deep copy of *store* sharing only immutable structure.
+    """An immutable twin of *store* sharing every frozen fact block.
 
-    The clone gets its own cube MOs (``MO.copy`` duplicates facts,
-    relations, and measure values; dimensions and schema are shared —
-    they are never mutated after construction) and its own private
-    metrics registry, so queries against the snapshot never write into
-    the live store's gauges.
+    The clone's cubes hold the live cubes' memoized frozen MOs — a cube
+    untouched since the previous publish is the *same* object in both
+    versions, only mutated cubes are copied — and the clone gets its own
+    private metrics registry, so queries against the snapshot never
+    write into the live store's gauges.
     """
     clone = SubcubeStore(store._template, store._specification)
     for name, cube in store._cubes.items():
-        clone._cubes[name]._mo = cube.mo.copy()
+        clone._cubes[name].share_frozen(cube)
     clone.last_sync = store.last_sync
     clone._dirty = set(store._dirty)
     return clone
@@ -135,8 +155,19 @@ class StoreSnapshot:
             mine._bound.update(theirs._bound)
 
     def verify_integrity(self) -> bool:
-        """Whether the snapshot still hashes to its publication state."""
-        return store_fingerprint(self._store) == self.fingerprint
+        """Whether the snapshot still hashes to its publication state.
+
+        Every fact block is re-derived from the cubes' content, past the
+        memos, so a write that bumped no mutation counter is caught too.
+        """
+        recomputed = _fingerprint(
+            self._store,
+            {
+                name: FactBlock.of(cube.mo).crc
+                for name, cube in self._store.cubes.items()
+            },
+        )
+        return recomputed == self.fingerprint
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -172,9 +203,9 @@ class SnapshotManager:
     def publish(self, store: SubcubeStore) -> StoreSnapshot:
         """Freeze *store* as the next version and make it current.
 
-        The expensive copy happens outside the lock; the swap itself is
-        a single assignment, so readers see either the old version or
-        the new one, never a mixture.
+        Freezing the mutated cubes happens outside the lock; the swap
+        itself is a single assignment, so readers see either the old
+        version or the new one, never a mixture.
         """
         with self._lock:
             version = self._next_version

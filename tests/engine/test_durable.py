@@ -3,8 +3,11 @@
 import datetime as dt
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.durable import (
     JOURNAL_FILE,
@@ -12,15 +15,19 @@ from repro.engine.durable import (
     SNAPSHOT_DIR,
     DurableStore,
     Journal,
+    _crc,
     open_durable,
 )
 from repro.engine.faults import FaultInjector, InjectedFault
+from repro.engine.telemetry import JOURNAL_BYTES
 from repro.errors import DurabilityError, RecoveryError, ReproError
 from repro.experiments.paper_example import (
     SNAPSHOT_TIMES,
     build_paper_mo,
     paper_specification,
 )
+from repro.io import mo_to_dict
+from repro.serving import SnapshotManager, store_fingerprint
 from repro.spec.action import Action
 
 from .durableutil import facts_of, fingerprint, shape
@@ -48,6 +55,18 @@ def recover(path):
     return open_durable(str(path), faults=FaultInjector())
 
 
+def snapshot_files(path):
+    return sorted(os.listdir(os.path.join(str(path), SNAPSHOT_DIR)))
+
+
+def to_year_action(mo):
+    return Action.parse(
+        mo.schema,
+        "a[Time.year, URL.domain_grp] o[Time.year <= NOW - 5 years]",
+        "to_year",
+    )
+
+
 class TestJournal:
     def test_append_and_scan_round_trip(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -62,6 +81,33 @@ class TestJournal:
         ]
         assert valid_bytes == os.path.getsize(path)
         assert discarded == 0
+
+    def test_line_is_the_canonical_encoding_of_body_plus_crc(self, tmp_path):
+        # Compatibility pin: the spliced line is byte-identical to
+        # dumping the record with its checksum, the encoding every
+        # journal on disk already uses.
+        path = str(tmp_path / "j.jsonl")
+        journal = Journal(path, fsync=False)
+        data = {
+            "facts": [
+                {
+                    "id": "f\u00e9",  # non-ASCII is escaped, so 1 char == 1 byte
+                    "coordinates": {"URL": "http://x/", "Time": "2000/1/2"},
+                    "measures": {"Number_of": 1, "Dwell_time": 2.5},
+                }
+            ]
+        }
+        journal.append("load", data, sync=True)
+        journal.close()
+        body = {"lsn": 1, "op": "load", "data": data}
+        expected = json.dumps(
+            {**body, "crc": _crc(body)}, sort_keys=True, separators=(",", ":")
+        )
+        with open(path, "rb") as stream:
+            written = stream.read()
+        assert written == (expected + "\n").encode("utf-8")
+        assert journal.metrics.value(JOURNAL_BYTES) == len(written)
+        assert [r.data for r in Journal.scan(path)[0]] == [data]
 
     def test_scan_discards_torn_final_record(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -257,6 +303,33 @@ class TestRecovery:
         assert report.replayed == 1
         recovered.close()
 
+    def test_snapshot_laid_out_as_before_the_fact_blocks_still_restores(
+        self, tmp_path, mo, spec
+    ):
+        store = make_store(tmp_path / "d", mo, spec)
+        store.load(facts_of(mo))
+        store.synchronize(SNAPSHOT_TIMES[1])
+        store.snapshot()
+        expected = fingerprint(store)
+        store.close()
+        # Rewrite the document the way earlier versions wrote it: a full
+        # MO document per cube (dimensions included), default separators.
+        (name,) = snapshot_files(tmp_path / "d")
+        newest = tmp_path / "d" / SNAPSHOT_DIR / name
+        body = json.loads(newest.read_text())["snapshot"]
+        body["cubes"] = {
+            cube_name: mo_to_dict(cube.mo)
+            for cube_name, cube in store.cubes.items()
+        }
+        newest.write_text(
+            json.dumps({"crc": _crc(body), "snapshot": body}, sort_keys=True)
+        )
+        recovered, report = recover(tmp_path / "d")
+        assert report.snapshot_lsn == body["lsn"]
+        assert report.replayed == 0
+        assert fingerprint(recovered) == expected
+        recovered.close()
+
     def test_open_durable_rejects_a_non_store(self, tmp_path):
         with pytest.raises(RecoveryError, match="meta.json"):
             open_durable(str(tmp_path))
@@ -267,6 +340,61 @@ class TestRecovery:
             json.dump({"format": 99}, stream)
         with pytest.raises(RecoveryError, match="format"):
             open_durable(str(tmp_path / "d"))
+
+
+class TestSnapshotRetention:
+    def five_snapshots(self, path, mo, spec, **kwargs):
+        store = make_store(path, mo, spec, **kwargs)
+        facts = facts_of(mo)
+        for index in range(5):
+            store.load(facts[index : index + 1])
+            store.snapshot()
+        return store
+
+    def test_only_the_newest_two_documents_are_kept(self, tmp_path, mo, spec):
+        store = self.five_snapshots(tmp_path / "d", mo, spec)
+        kept = snapshot_files(tmp_path / "d")
+        assert kept == [
+            f"snap-{lsn:012d}.json" for lsn in (4, 5)
+        ]
+        manifest = json.loads((tmp_path / "d" / MANIFEST_FILE).read_text())
+        assert manifest["file"] == kept[-1]
+        store.close()
+
+    def test_the_kept_fallback_recovers_a_corrupt_newest(
+        self, tmp_path, mo, spec
+    ):
+        store = self.five_snapshots(tmp_path / "d", mo, spec)
+        expected = fingerprint(store)
+        store.close()
+        newest = tmp_path / "d" / SNAPSHOT_DIR / snapshot_files(tmp_path / "d")[-1]
+        newest.write_text(newest.read_text().replace("fact_", "fict_", 1))
+        recovered, report = recover(tmp_path / "d")
+        assert report.snapshot_lsn == 4
+        assert report.replayed == 1  # the fifth load, from the journal
+        assert fingerprint(recovered) == expected
+        recovered.close()
+
+    def test_crash_before_the_manifest_leaves_the_previous_pair(
+        self, tmp_path, mo, spec
+    ):
+        faults = FaultInjector()
+        store = self.five_snapshots(tmp_path / "d", mo, spec, faults=faults)
+        pair = snapshot_files(tmp_path / "d")
+        store.load(facts_of(mo)[5:6])
+        expected = fingerprint(store)
+        faults.arm("snapshot.manifest")
+        with pytest.raises(InjectedFault):
+            store.snapshot()
+        store.close()
+        # The new document is in place but unpublished; nothing was
+        # pruned, and the manifest still names the previous newest.
+        assert snapshot_files(tmp_path / "d")[:2] == pair
+        manifest = json.loads((tmp_path / "d" / MANIFEST_FILE).read_text())
+        assert manifest["file"] == pair[-1]
+        recovered, _ = recover(tmp_path / "d")
+        assert fingerprint(recovered) == expected
+        recovered.close()
 
 
 class TestAbortedTransactions:
@@ -348,16 +476,7 @@ class TestRebuild:
         store = make_store(tmp_path / "d", mo, spec)
         store.load(facts_of(mo))
         store.synchronize(SNAPSHOT_TIMES[2])
-        bigger = spec.insert(
-            [
-                Action.parse(
-                    mo.schema,
-                    "a[Time.year, URL.domain_grp] "
-                    "o[Time.year <= NOW - 5 years]",
-                    "to_year",
-                )
-            ]
-        )
+        bigger = spec.insert([to_year_action(mo)])
         store.rebuild(bigger, SNAPSHOT_TIMES[2])
         store.synchronize(SNAPSHOT_TIMES[2])
         expected = fingerprint(store)
@@ -371,16 +490,7 @@ class TestRebuild:
     def test_rebuild_journals_a_snapshot_immediately(self, tmp_path, mo, spec):
         store = make_store(tmp_path / "d", mo, spec)
         store.load(facts_of(mo))
-        bigger = spec.insert(
-            [
-                Action.parse(
-                    mo.schema,
-                    "a[Time.year, URL.domain_grp] "
-                    "o[Time.year <= NOW - 5 years]",
-                    "to_year",
-                )
-            ]
-        )
+        bigger = spec.insert([to_year_action(mo)])
         store.rebuild(bigger, SNAPSHOT_TIMES[1])
         store.close()
         snapshots = os.listdir(tmp_path / "d" / SNAPSHOT_DIR)
@@ -425,3 +535,91 @@ class TestAuditBaseline:
         recovered, report = recover(tmp_path / "d")
         assert fingerprint(recovered) == expected
         recovered.close()
+
+
+# ----------------------------------------------------------------------
+# Memo coherence: the per-cube fact blocks behind snapshot(), the
+# version fingerprint and the MVCC freeze never go stale, whichever
+# route a mutation takes.
+# ----------------------------------------------------------------------
+
+SYNC_TIMES = SNAPSHOT_TIMES + tuple(
+    dt.date(2001 + year, month, 5) for year in range(3) for month in (3, 9)
+)
+MUTATION_ROUTES = (
+    "load", "failed_load", "sync", "failed_sync", "rebuild", "reopen"
+)
+
+
+def assert_blocks_coherent(store, path):
+    # Memoized fingerprint == recomputation from content.
+    version = SnapshotManager().publish(store)
+    assert version.fingerprint == store_fingerprint(store)
+    assert version.verify_integrity()
+    # The document spliced from the memoized texts says what the cubes
+    # hold, and checksums the way recovery re-derives it.
+    store.snapshot()
+    newest = os.path.join(path, SNAPSHOT_DIR, snapshot_files(path)[-1])
+    with open(newest, encoding="utf-8") as stream:
+        document = json.load(stream)
+    body = document["snapshot"]
+    assert document["crc"] == _crc(body)
+    assert set(body["cubes"]) == set(store.cubes)
+    for name, cube in store.cubes.items():
+        assert body["cubes"][name] == {"facts": mo_to_dict(cube.mo)["facts"]}
+    # A store recovered from it is the same store, by the uncached oracle.
+    recovered, report = recover(path)
+    try:
+        assert report.snapshot_lsn == body["lsn"]
+        assert fingerprint(recovered) == fingerprint(store)
+        assert store_fingerprint(recovered) == store_fingerprint(store)
+    finally:
+        recovered.close()
+
+
+@settings(max_examples=15, deadline=None)
+@given(routes=st.lists(st.sampled_from(MUTATION_ROUTES), min_size=1, max_size=6))
+def test_fact_block_memo_is_coherent_under_every_mutation_route(routes):
+    mo = build_paper_mo()
+    spec = paper_specification(mo)
+    facts = facts_of(mo)
+    faults = FaultInjector()
+    clock = 0
+    with tempfile.TemporaryDirectory() as path:
+        store = DurableStore.create(path, mo, spec, fsync=False, faults=faults)
+        store.load(facts)
+        assert_blocks_coherent(store, path)
+        for step, route in enumerate(routes):
+            fact_id, coordinates, measures = facts[step % len(facts)]
+            batch = [(f"{fact_id}#{step}", coordinates, measures)]
+            if route == "load":
+                store.load(batch)
+            elif route == "failed_load":
+                # The first row is inserted, the second is rejected, and
+                # _UndoLog takes the first one back out.
+                batch.append((f"bad#{step}", {"Time": "1999/12/31"}, measures))
+                with pytest.raises(ReproError):
+                    store.load(batch)
+            elif route == "sync":
+                clock = min(clock + 1, len(SYNC_TIMES) - 1)
+                store.synchronize(SYNC_TIMES[clock])
+            elif route == "failed_sync":
+                store.load(batch)
+                target = min(clock + 1, len(SYNC_TIMES) - 1)
+                faults.arm("sync.migrate")
+                try:
+                    store.synchronize(SYNC_TIMES[target])
+                    clock = target  # nothing migrated, so nothing failed
+                except InjectedFault:
+                    pass  # rolled back; the clock did not advance
+                finally:
+                    faults.disarm("sync.migrate")
+            elif route == "rebuild":
+                store.rebuild(
+                    spec.insert([to_year_action(mo)]), SYNC_TIMES[clock]
+                )
+            else:
+                store.close()
+                store, _ = open_durable(path, fsync=False, faults=faults)
+            assert_blocks_coherent(store, path)
+        store.close()

@@ -174,3 +174,70 @@ class TestWarmPlans:
         assert COM_BY_DOMAIN.predicate in warmed._bound
         # Compiled verdict tables are id-keyed: never carried.
         assert warmed.n_plans == 0
+
+
+LATE_FACT = (
+    "late_fact",
+    {"Time": "2000/1/20", "URL": "http://www.cc.gatech.edu/"},
+    {"Number_of": 5, "Dwell_time": 10, "Delivery_time": 1, "Datasize": 8},
+)
+
+
+class TestSharing:
+    """Version N+1 shares the cubes a step did not touch with version N."""
+
+    def day_step(self, store, manager, index=0):
+        # One more click on a recent day: it lands in (and stays in) the
+        # bottom cube, and nothing else is old enough to fold.
+        fact_id, coordinates, measures = LATE_FACT
+        store.load([(f"{fact_id}_{index}", coordinates, measures)])
+        store.synchronize(store.last_sync)
+        return manager.publish(store)
+
+    def test_untouched_cubes_are_the_same_object_across_versions(
+        self, store, manager
+    ):
+        manager.publish(store)
+        previous = manager.acquire()
+        current = self.day_step(store, manager)
+        bottom = store.bottom_cube.name
+        for name in store.cubes:
+            shared = current.store.cube(name).mo is previous.store.cube(name).mo
+            assert shared == (name != bottom)
+        # Neither version reads the live store's own (mutable) MO.
+        assert current.store.cube(bottom).mo is not store.bottom_cube.mo
+        manager.release(previous)
+
+    def test_pinned_version_verifies_across_ten_further_publishes(
+        self, store, manager
+    ):
+        manager.publish(store)
+        pinned = manager.acquire()
+        before = rows_of(pinned.query(GRAND_TOTAL, SNAPSHOT_TIMES[0]))
+        for index in range(10):
+            assert self.day_step(store, manager, index).verify_integrity()
+        assert pinned.verify_integrity()
+        assert rows_of(pinned.query(GRAND_TOTAL, SNAPSHOT_TIMES[0])) == before
+        assert pinned.fingerprint != manager.current().fingerprint
+        manager.release(pinned)
+
+    def test_tampering_with_a_shared_cube_tears_every_version_sharing_it(
+        self, store, manager
+    ):
+        store.synchronize(SNAPSHOT_TIMES[1])  # K1 holds facts from here on
+        first = manager.publish(store)
+        manager.acquire()  # keeps the first version alive
+        second = self.day_step(store, manager)
+        shared = second.store.cube("K1").mo
+        assert shared is first.store.cube("K1").mo and shared.n_facts
+        victim = next(iter(shared.facts()))
+        if sanitize.enabled(sanitize.MUTATION):
+            with pytest.raises(SnapshotMutationError):
+                shared.delete_fact(victim)
+            assert first.verify_integrity() and second.verify_integrity()
+        # A write through internals bumps no mutation counter, so the
+        # memoized fingerprint cannot see it; verify_integrity() must.
+        shared.measures["Number_of"]._values[victim] = -1
+        assert store_fingerprint(second.store) == second.fingerprint
+        assert not first.verify_integrity()
+        assert not second.verify_integrity()
