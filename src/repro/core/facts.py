@@ -11,7 +11,7 @@ reduction facilities may map to values in any category — the model's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import FactError
 
@@ -61,6 +61,16 @@ class FactDimensionRelation:
                 f"{self.dimension_name!r}"
             ) from None
 
+    def values_of(self, fact_ids: Iterable[str]) -> list[str]:
+        """The values of *fact_ids*, in their order (one column read)."""
+        try:
+            return list(map(self._value_of.__getitem__, fact_ids))
+        except KeyError as error:
+            raise FactError(
+                f"fact {error.args[0]!r} has no value in dimension "
+                f"{self.dimension_name!r}"
+            ) from None
+
     def __contains__(self, fact_id: str) -> bool:
         return fact_id in self._value_of
 
@@ -105,8 +115,8 @@ def aggregate_fact_id(cell: Mapping[str, str] | tuple[str, ...]) -> str:
     later times coalesce naturally onto one fact, which mirrors the paper's
     "one new fact per cell" semantics.
     """
-    if isinstance(cell, Mapping):
-        parts = [f"{k}={cell[k]}" for k in sorted(cell)]
-    else:
-        parts = list(cell)
-    return "agg|" + "|".join(parts)
+    # Every engine caller passes a tuple; the ``typing`` instance check
+    # is the slow one, so it only runs for the other callers.
+    if not isinstance(cell, tuple) and isinstance(cell, Mapping):
+        cell = [f"{k}={cell[k]}" for k in sorted(cell)]
+    return "agg|" + "|".join(cell)

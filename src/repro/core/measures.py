@@ -107,7 +107,24 @@ class Measure:
 
     def aggregate_over(self, fact_ids: Iterable[str]) -> object:
         """Apply the default aggregate to the multiset ``{M(f) | f in ids}``."""
-        return self.aggregate(self[fid] for fid in fact_ids)
+        return self.aggregate_each([fact_ids])[0]
+
+    def aggregate_each(
+        self, groups: Iterable[Iterable[str]]
+    ) -> list[object]:
+        """:meth:`aggregate_over` for each of *groups*, in one call.
+
+        Every group folds its members' values in member order.
+        """
+        value_of = self._values.__getitem__
+        try:
+            multisets = [list(map(value_of, members)) for members in groups]
+        except KeyError as error:
+            raise MeasureError(
+                f"measure {self.name!r} has no value for fact "
+                f"{error.args[0]!r}"
+            ) from None
+        return list(map(self.aggregate, multisets))
 
     def restrict(self, fact_ids: Iterable[str]) -> "Measure":
         """The measure restricted to *fact_ids* (used by selection, Eq. 36)."""

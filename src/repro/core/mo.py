@@ -9,7 +9,7 @@ the reduction engine.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..errors import FactError, QueryError, SchemaError
 from .dimension import ALL_VALUE, Dimension
@@ -56,9 +56,10 @@ class MultidimensionalObject:
             for mt in schema.measure_types
         }
         self._facts: dict[str, Provenance] = {}
-        #: Bumped by every fact mutation (``_insert``, ``delete_fact``;
-        #: ``SubCube.clear`` carries it over to the replacement MO), so
-        #: an unchanged count means an unchanged fact set.
+        #: Bumped by every fact mutation (``_insert``, ``delete_fact``,
+        #: ``adopt_rows``; ``SubCube.clear`` carries it over to the
+        #: replacement MO), so an unchanged count means an unchanged fact
+        #: set.
         self.mutations = 0
 
     # ------------------------------------------------------------------
@@ -286,6 +287,45 @@ class MultidimensionalObject:
         if unknown:
             raise FactError(f"unknown facts {sorted(unknown)!r}")
         return out
+
+    def adopt_rows(
+        self,
+        rows: Iterable[
+            tuple[str, Sequence[str], Sequence[object], Provenance]
+        ],
+    ) -> None:
+        """Append ``(fact id, cell, measure values, provenance)`` rows
+        derived from an MO that already validated them.
+
+        Cells are ordered like the schema's dimensions, measure values
+        like its measures, and every value is canonical in this MO's
+        dimensions — the caller's contract, as in :meth:`restrict_to_facts`,
+        because nothing here re-checks it (the query operators build
+        their results through this; anything arriving from outside the
+        program goes through :meth:`insert_fact` /
+        :meth:`insert_aggregate_fact`).
+        """
+        if self._sealed:
+            from ..sanitize import check_unsealed
+
+            check_unsealed(self, "adoption of derived rows")
+        facts = self._facts
+        columns = [
+            self.relations[name]._value_of
+            for name in self.schema.dimension_names
+        ]
+        measure_columns = [
+            self.measures[name]._values for name in self.schema.measure_names
+        ]
+        self.mutations += 1
+        for fact_id, cell, measure_values, provenance in rows:
+            if fact_id in facts:
+                raise FactError(f"fact {fact_id!r} already exists")
+            facts[fact_id] = provenance
+            for column, value in zip(columns, cell):
+                column[fact_id] = value
+            for column, value in zip(measure_columns, measure_values):
+                column[fact_id] = value
 
     def granularity_histogram(self) -> dict[tuple[str, ...], int]:
         """Fact count per current granularity — handy for storage reports."""

@@ -20,6 +20,7 @@ from .queryproc import (
     SubcubeQuery,
     combine_subresults,
     effective_content,
+    plan_cache,
     query_cube,
 )
 from .store import SubcubeStore
@@ -89,6 +90,7 @@ def explain_plan(
     requested = store.bottom_cube.mo.schema.validate_granularity(
         dict(query.granularity)
     )
+    plans = plan_cache(store)
     steps: list[CubePlanStep] = []
     subresults: list[MultidimensionalObject] = []
     for definition in store.definitions:
@@ -97,9 +99,9 @@ def explain_plan(
             effective = cube.mo
             pulled = 0
         else:
-            effective = effective_content(store, cube, now)
+            effective = effective_content(store, cube, now, plans)
             pulled = max(0, effective.n_facts - cube.n_facts)
-        subresult = query_cube(effective, query, now)
+        subresult = query_cube(effective, query, now, plans)
         subresults.append(subresult)
         exact = _answers_exactly(subresult, requested)
         steps.append(

@@ -14,22 +14,26 @@ evaluation time, the parent pull can never double-count a fact.
 from __future__ import annotations
 
 import datetime as _dt
+import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .._forkreg import register_cache
 from ..core.facts import Provenance, aggregate_fact_id
 from ..core.mo import MultidimensionalObject
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from ..query.aggregation import AggregationApproach, aggregate
+from ..query.aggregation import (
+    AggregationApproach,
+    aggregate,
+    aggregate_facts,
+)
 from ..query.compare import Approach
-from ..query.selection import bind_query_predicate, select
+from ..query.selection import bind_query_predicate
 from ..reduction.compiled import CompiledPredicate
 from ..spec.ast import Predicate
-from ..spec.predicate import satisfies
 from .store import SubcubeStore
 from .subcube import SubCube
 
@@ -90,28 +94,41 @@ class SubcubeQuery:
     aggregation: AggregationApproach = AggregationApproach.AVAILABILITY
 
 
+#: Distinct predicate texts one plan cache keeps (bound AST plus the
+#: plans compiled from it); the least recently used text goes first.
+#: A few hundred covers any dashboard's repeating shapes, while a
+#: stream of one-off constants (``URL.url = '<user input>'``) can no
+#: longer grow a long-lived server's cache without bound.
+MAX_CACHED_TEXTS = 256
+
+
 class QueryPlanCache:
     """Compiled query plans, shared across one store's subqueries.
 
     Each predicate *text* is parsed and schema-bound once per store, and
     each (bound predicate, evaluation time) pair is compiled once into a
-    :class:`CompiledPredicate` whose per-value verdict tables are then
-    reused by every subquery — a query over ``n`` cubes pays for each
-    distinct direct value once, not once per cube.  Cached plans hold
-    strong references to their predicates, so the ``id``-based keys can
-    never alias a recycled object.
+    :class:`CompiledPredicate` whose verdict tables are then reused by
+    every subquery — a query over ``n`` cubes pays for each distinct
+    direct value once, not once per cube.  Cached plans hold strong
+    references to their predicates, so the ``id``-based keys can never
+    alias a recycled object.  At most :data:`MAX_CACHED_TEXTS` texts stay
+    resident; evicting one releases its plans with it.
     """
 
     def __init__(self, store: SubcubeStore) -> None:
         self._store = store
+        # Recency order: a hit re-inserts its text at the end.  Reader
+        # threads of one snapshot share the cache, hence the lock.
         self._bound: dict[str, Predicate] = {}
-        self._plans: dict[tuple[int, _dt.date], CompiledPredicate] = {}
+        self._plans: dict[int, dict[_dt.date, CompiledPredicate]] = {}
+        self._lock = threading.Lock()
         _CACHES.add(self)
 
     def clear(self) -> None:
         """Drop every cached binding and plan (the store stays attached)."""
-        self._bound.clear()
-        self._plans.clear()
+        with self._lock:
+            self._bound.clear()
+            self._plans.clear()
 
     @property
     def n_bound(self) -> int:
@@ -119,22 +136,30 @@ class QueryPlanCache:
 
     @property
     def n_plans(self) -> int:
-        return len(self._plans)
+        return sum(len(by_time) for by_time in list(self._plans.values()))
 
     def bound_predicate(self, text: str) -> Predicate:
-        """The schema-bound AST of *text*, parsed at most once."""
+        """The schema-bound AST of *text*, parsed at most once while the
+        text stays resident."""
         metrics = self._store.metrics
-        bound = self._bound.get(text)
-        if bound is None:
-            metrics.counter(
-                QUERY_CACHE_MISSES, {"cache": "bound"}, help=_HELP_MISSES
-            ).inc()
-            bound = bind_query_predicate(self._store.bottom_cube.mo, text)
-            self._bound[text] = bound
-        else:
+        with self._lock:
+            bound = self._bound.pop(text, None)
+            if bound is not None:
+                self._bound[text] = bound
+        if bound is not None:
             metrics.counter(
                 QUERY_CACHE_HITS, {"cache": "bound"}, help=_HELP_HITS
             ).inc()
+            return bound
+        metrics.counter(
+            QUERY_CACHE_MISSES, {"cache": "bound"}, help=_HELP_MISSES
+        ).inc()
+        bound = bind_query_predicate(self._store.bottom_cube.mo, text)
+        with self._lock:
+            bound = self._bound.setdefault(text, bound)
+            while len(self._bound) > MAX_CACHED_TEXTS:
+                evicted = self._bound.pop(next(iter(self._bound)))
+                self._plans.pop(id(evicted), None)
         return bound
 
     def plan_for(
@@ -142,21 +167,23 @@ class QueryPlanCache:
     ) -> CompiledPredicate:
         """The compiled plan of a bound predicate at *now*."""
         metrics = self._store.metrics
-        key = (id(predicate), now)
-        plan = self._plans.get(key)
-        if plan is None:
-            metrics.counter(
-                QUERY_CACHE_MISSES, {"cache": "plan"}, help=_HELP_MISSES
-            ).inc()
-            plan = CompiledPredicate(
-                predicate, self._store.bottom_cube.mo.dimensions, now
-            )
-            self._plans[key] = plan
-        else:
+        by_time = self._plans.get(id(predicate))
+        plan = by_time.get(now) if by_time is not None else None
+        if plan is not None:
             metrics.counter(
                 QUERY_CACHE_HITS, {"cache": "plan"}, help=_HELP_HITS
             ).inc()
-        return plan
+            return plan
+        metrics.counter(
+            QUERY_CACHE_MISSES, {"cache": "plan"}, help=_HELP_MISSES
+        ).inc()
+        plan = CompiledPredicate(
+            predicate, self._store.bottom_cube.mo.dimensions, now
+        )
+        with self._lock:
+            return self._plans.setdefault(id(predicate), {}).setdefault(
+                now, plan
+            )
 
     def plan_for_text(self, text: str, now: _dt.date) -> CompiledPredicate:
         return self.plan_for(self.bound_predicate(text), now)
@@ -166,11 +193,11 @@ class QueryPlanCache:
 
         Bound predicates (text -> schema-bound AST) depend only on the
         schema and dimension values, which synchronization never touches
-        — they are *always* kept warm, so snapshot readers and repeated
-        queries keep their parsed plans across NOW advances.  Compiled
-        verdict tables are keyed by ``(predicate, time)`` and stay
-        correct too; what a sync changes is which evaluation times are
-        still *reachable*: once facts actually migrated at *now*, plans
+        — they are kept warm, so snapshot readers and repeated queries
+        keep their parsed plans across NOW advances.  Compiled verdict
+        tables are keyed by ``(predicate, time)`` and stay correct too;
+        what a sync changes is which evaluation times are still
+        *reachable*: once facts actually migrated at *now*, plans
         compiled for earlier times belong to store versions no live
         query will combine with this store again, so they are released
         (otherwise a long NOW trajectory grows the cache without bound).
@@ -178,9 +205,10 @@ class QueryPlanCache:
         """
         if not any(moved.values()):
             return
-        stale = [key for key in self._plans if key[1] < now]
-        for key in stale:
-            del self._plans[key]
+        with self._lock:
+            for by_time in self._plans.values():
+                for stale in [time for time in by_time if time < now]:
+                    del by_time[stale]
 
 
 def plan_cache(store: SubcubeStore) -> QueryPlanCache:
@@ -192,38 +220,34 @@ def plan_cache(store: SubcubeStore) -> QueryPlanCache:
     return cache
 
 
-def _plan_select(
-    mo: MultidimensionalObject,
-    plan: CompiledPredicate,
-    approach: Approach,
-) -> MultidimensionalObject:
-    """``select`` via a compiled plan (same keep-list, same order)."""
-    direct_value = mo.direct_value
-    keep = [
-        fact_id
-        for fact_id in mo.facts()
-        if plan.satisfied_by(
-            lambda name, _f=fact_id: direct_value(_f, name), approach
-        )
-    ]
-    return mo.restrict_to_facts(keep)
-
-
 def query_cube(
     cube_mo: MultidimensionalObject,
     query: SubcubeQuery,
     now: _dt.date,
     plans: QueryPlanCache | None = None,
 ) -> MultidimensionalObject:
-    """One subquery ``S_i = Q(K_i)``."""
-    current = cube_mo
-    if query.predicate is not None:
-        if plans is not None and isinstance(query.predicate, str):
-            plan = plans.plan_for_text(query.predicate, now)
-            current = _plan_select(current, plan, query.approach)
-        else:
-            current = select(current, query.predicate, now, query.approach)
-    return aggregate(current, query.granularity, query.aggregation)
+    """One subquery ``S_i = Q(K_i)``.
+
+    The predicate always runs compiled: through the cached plan of
+    *plans* when the query carries predicate text, otherwise through a
+    plan compiled for this call.
+    """
+    if query.predicate is None:
+        return aggregate(cube_mo, query.granularity, query.aggregation)
+    if plans is not None and isinstance(query.predicate, str):
+        plan = plans.plan_for_text(query.predicate, now)
+    else:
+        plan = CompiledPredicate(
+            bind_query_predicate(cube_mo, query.predicate),
+            cube_mo.dimensions,
+            now,
+        )
+    return aggregate_facts(
+        cube_mo,
+        plan.satisfying_facts(cube_mo, query.approach),
+        query.granularity,
+        query.aggregation,
+    )
 
 
 def query_store(
@@ -298,50 +322,41 @@ def effective_content(
     one cube, so the union over cubes never double-counts.
     """
     definition = cube.definition
-    template = cube.mo.empty_like()
     # The disjoint predicate was assembled from already-bound action
-    # predicates, so it can be evaluated directly; all its atoms reference
+    # predicates, so it can be compiled directly; all its atoms reference
     # categories at or above the granularities of the facts involved, so
     # evaluation is exact (conservative == liberal).
     predicate = definition.predicate
-    plan = plans.plan_for(predicate, now) if plans is not None else None
-    sources: list[MultidimensionalObject] = [cube.mo]
-    for parent_name in definition.parents:
-        sources.append(store.cube(parent_name).mo)
-    names = template.schema.dimension_names
-    for source in sources:
-        direct_value = source.direct_value
-        for fact_id in source.facts():
-            if plan is not None:
-                admitted = plan.satisfied_by(
-                    lambda name, _f=fact_id: direct_value(_f, name)
-                )
-            else:
-                admitted = satisfies(source, fact_id, predicate, now)
-            if not admitted:
-                continue
-            coordinates: dict[str, str] = {}
-            ok = True
+    plan = (
+        plans.plan_for(predicate, now)
+        if plans is not None
+        else CompiledPredicate(predicate, cube.mo.dimensions, now)
+    )
+    sources = [cube.mo, *(store.cube(name).mo for name in definition.parents)]
+    names = cube.mo.schema.dimension_names
+
+    def rolled_up() -> Iterator[_Row]:
+        for source in sources:
+            admitted = plan.satisfying_facts(source)
+            columns = []
             for name, category in zip(names, definition.granularity):
-                value = source.dimensions[name].try_ancestor_at(
-                    source.direct_value(fact_id, name), category
-                )
-                if value is None:
-                    ok = False
-                    break
-                coordinates[name] = value
-            if not ok:
-                continue
-            _merge_fact(
-                template,
-                coordinates,
-                {
-                    name: source.measure_value(fact_id, name)
-                    for name in source.schema.measure_names
-                },
-                source.provenance(fact_id),
+                ancestor_at = source.dimensions[name].try_ancestor_at
+                directs = source.relations[name].values_of(admitted)
+                value_for = {
+                    direct: ancestor_at(direct, category)
+                    for direct in dict.fromkeys(directs)
+                }
+                columns.append(map(value_for.__getitem__, directs))
+            yield from _rows_of(
+                source,
+                (
+                    (fact_id, cell)
+                    for fact_id, cell in zip(admitted, zip(*columns))
+                    if None not in cell
+                ),
             )
-    return template
+
+    return _merged_by_cell(cube.mo.empty_like(), rolled_up())
 
 
 def combine_subresults(
@@ -356,55 +371,77 @@ def combine_subresults(
     aggregating the subresults again "poses no complications", exactly as
     Section 7.3 argues.
     """
-    union = store.bottom_cube.mo.empty_like()
-    names = union.schema.dimension_names
-    for subresult in subresults:
-        for fact_id in subresult.facts():
-            coordinates = {
-                name: subresult.direct_value(fact_id, name) for name in names
-            }
-            _merge_fact(
-                union,
-                coordinates,
-                {
-                    name: subresult.measure_value(fact_id, name)
-                    for name in subresult.schema.measure_names
-                },
-                subresult.provenance(fact_id),
-            )
+    names = store.bottom_cube.mo.schema.dimension_names
+
+    def rows() -> Iterator[_Row]:
+        for subresult in subresults:
+            fact_ids = list(subresult.facts())
+            columns = [
+                subresult.relations[name].values_of(fact_ids)
+                for name in names
+            ]
+            yield from _rows_of(subresult, zip(fact_ids, zip(*columns)))
+
+    union = _merged_by_cell(store.bottom_cube.mo.empty_like(), rows())
     return aggregate(union, dict(query.granularity), query.aggregation)
 
 
-def _merge_fact(
+#: One derived row on its way into a union: cell, measure values in
+#: schema order, provenance.
+_Row = tuple[tuple[str, ...], list[object], Provenance]
+
+
+def _rows_of(
     mo: MultidimensionalObject,
-    coordinates: Mapping[str, str],
-    measures: Mapping[str, object],
-    provenance: Provenance,
-) -> None:
-    cell = tuple(
-        mo.dimensions[name].normalize_value(coordinates[name])
-        for name in mo.schema.dimension_names
-    )
-    fact_id = aggregate_fact_id(cell)
-    if fact_id in mo:
-        merged = {
-            name: mo.measures[name].aggregate(
-                [mo.measure_value(fact_id, name), measures[name]]
-            )
-            for name in mo.schema.measure_names
-        }
-        existing = mo.provenance(fact_id)
-        mo.delete_fact(fact_id)
-        mo.insert_aggregate_fact(
-            fact_id,
-            dict(zip(mo.schema.dimension_names, cell)),
-            merged,
-            existing.merge(provenance),
+    cells: Iterable[tuple[str, tuple[str, ...]]],
+) -> Iterator[_Row]:
+    """The rows of *mo*'s facts named in *cells* (``(fact id, cell)``)."""
+    measures = [mo.measure(name) for name in mo.schema.measure_names]
+    provenance_of = mo.provenance
+    for fact_id, cell in cells:
+        yield (
+            cell,
+            [measure[fact_id] for measure in measures],
+            provenance_of(fact_id),
         )
-    else:
-        mo.insert_aggregate_fact(
-            fact_id,
-            dict(zip(mo.schema.dimension_names, cell)),
-            dict(measures),
-            provenance,
-        )
+
+
+def _merged_by_cell(
+    target: MultidimensionalObject, rows: Iterable[_Row]
+) -> MultidimensionalObject:
+    """Fill the empty *target* with *rows*, one fact per distinct cell.
+
+    Rows sharing a cell fold their measures pairwise in arrival order
+    (the distributive step; per-cube partials therefore fold in cube
+    order) and union their provenance once.  A cell that receives a
+    further row moves behind every cell seen so far — the fact order
+    the final aggregation, and so the answer, inherits.
+    """
+    parts_of: dict[tuple[str, ...], list[_Row]] = {}
+    for row in rows:
+        parts = parts_of.pop(row[0], [])
+        parts.append(row)
+        parts_of[row[0]] = parts
+    aggregates = [
+        target.measures[name].aggregate
+        for name in target.schema.measure_names
+    ]
+
+    def merged() -> Iterator[tuple]:
+        for cell, parts in parts_of.items():
+            _, measures, provenance = parts[0]
+            if len(parts) > 1:
+                for _, more, _ in parts[1:]:
+                    measures = [
+                        fold([so_far, value])
+                        for fold, so_far, value in zip(
+                            aggregates, measures, more
+                        )
+                    ]
+                provenance = Provenance(
+                    frozenset().union(*[part[2].members for part in parts])
+                )
+            yield aggregate_fact_id(cell), cell, measures, provenance
+
+    target.adopt_rows(merged())
+    return target

@@ -1,6 +1,11 @@
 """The query algebra over (reduced) MOs — Section 6."""
 
-from .aggregation import AggregationApproach, aggregate, group_high
+from .aggregation import (
+    AggregationApproach,
+    aggregate,
+    aggregate_facts,
+    group_high,
+)
 from .algebra import Query, mo_rows
 from .disaggregation import (
     AllocationWeights,
@@ -29,6 +34,7 @@ __all__ = [
     "ComparisonResult",
     "Query",
     "aggregate",
+    "aggregate_facts",
     "atom_compare",
     "atom_result",
     "bind_query_predicate",

@@ -21,7 +21,7 @@ scope here, documented in DESIGN.md.)
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..core.dimension import Dimension
 from ..core.facts import Provenance, aggregate_fact_id
@@ -50,65 +50,84 @@ def aggregate(
     or above the requested one (the requested category becomes the new
     bottom), per Definition 6.
     """
+    return aggregate_facts(mo, mo.facts(), granularity, approach)
+
+
+def aggregate_facts(
+    mo: MultidimensionalObject,
+    fact_ids: Iterable[str],
+    granularity: Mapping[str, str],
+    approach: AggregationApproach = AggregationApproach.AVAILABILITY,
+) -> MultidimensionalObject:
+    """``a[C1..Cn]`` over the facts *fact_ids* of *mo* only.
+
+    Equal to ``aggregate(mo.restrict_to_facts(fact_ids), ...)`` without
+    the intermediate copy: ``a[..](o[p](O))`` hands the selection's keep
+    list straight to the group-by.  Each dimension's grouping value is
+    looked up once per distinct direct value, the facts are grouped in
+    one pass in *fact_ids* order, and every result row is built once.
+    """
     requested = mo.schema.validate_granularity(granularity)
     names = mo.schema.dimension_names
+    ids = list(dict.fromkeys(fact_ids))
+    strict = approach is AggregationApproach.STRICT
 
-    # Per-fact availability category and grouping value in each dimension.
-    per_fact: dict[str, tuple[str, ...]] = {}
-    availability_categories: dict[str, set[str]] = {name: set() for name in names}
-    for fact_id in mo.facts():
-        values: list[str] = []
-        skip = False
-        for name, category in zip(names, requested):
-            dimension = mo.dimensions[name]
-            direct = mo.direct_value(fact_id, name)
-            available_category, value = _finest_available(
-                dimension, direct, category
-            )
-            if (
-                approach is AggregationApproach.STRICT
-                and available_category != category
-            ):
-                skip = True
-                break
-            availability_categories[name].add(available_category)
-            values.append(value)
-        if not skip:
-            per_fact[fact_id] = tuple(values)
-
-    if approach is AggregationApproach.LUB:
-        lub_granularity = tuple(
-            mo.dimensions[name].dimension_type.hierarchy.lub(
-                availability_categories[name] | {category}
-            )
-            for name, category in zip(names, requested)
-        )
-        per_fact = {
-            fact_id: tuple(
-                mo.dimensions[name].ancestor_at(
-                    mo.direct_value(fact_id, name), category
-                )
-                for name, category in zip(names, lub_granularity)
-            )
-            for fact_id in per_fact
+    # Per dimension: the grouping value of every fact (None: dropped).
+    grouping: list[list[str | None]] = []
+    for name, category in zip(names, requested):
+        dimension = mo.dimensions[name]
+        directs = mo.relations[name].values_of(ids)
+        available = {
+            direct: dimension.finest_available(direct, category)
+            for direct in dict.fromkeys(directs)
         }
+        if approach is AggregationApproach.LUB:
+            common = dimension.dimension_type.hierarchy.lub(
+                {found for found, _ in available.values()} | {category}
+            )
+            value_for = {
+                direct: dimension.ancestor_at(direct, common)
+                for direct in available
+            }
+        else:
+            value_for = {
+                direct: None if strict and found != category else value
+                for direct, (found, value) in available.items()
+            }
+        grouping.append(list(map(value_for.__getitem__, directs)))
 
-    result = _result_mo(mo, requested)
     groups: dict[tuple[str, ...], list[str]] = {}
-    for fact_id, cell in per_fact.items():
-        groups.setdefault(cell, []).append(fact_id)
-    for cell, members in groups.items():
-        coordinates = dict(zip(names, cell))
-        measures = {
-            name: mo.measures[name].aggregate_over(members)
-            for name in mo.schema.measure_names
-        }
-        provenance = Provenance()
-        for member in members:
-            provenance = provenance.merge(mo.provenance(member))
-        result.insert_aggregate_fact(
-            aggregate_fact_id(cell), coordinates, measures, provenance
+    for cell, fact_id in zip(zip(*grouping), ids):
+        if strict and None in cell:
+            continue
+        members = groups.get(cell)
+        if members is None:
+            groups[cell] = [fact_id]
+        else:
+            members.append(fact_id)
+
+    member_lists = list(groups.values())
+    folded = [
+        mo.measures[name].aggregate_each(member_lists)
+        for name in mo.schema.measure_names
+    ]
+    provenance_of = mo.provenance
+    result = _result_mo(mo, requested)
+    result.adopt_rows(
+        (
+            aggregate_fact_id(cell),
+            cell,
+            [column[row] for column in folded],
+            provenance_of(members[0])
+            if len(members) == 1
+            else Provenance(
+                frozenset().union(
+                    *[provenance_of(member).members for member in members]
+                )
+            ),
         )
+        for row, (cell, members) in enumerate(groups.items())
+    )
     return result
 
 
@@ -152,37 +171,6 @@ def group_high(
         if ok:
             facts.add(fact_id)
     return frozenset(facts)
-
-
-def _finest_available(
-    dimension: Dimension, direct_value: str, category: str
-) -> tuple[str, str]:
-    """The finest category ``>= category`` at which the fact has a value,
-    with that value (the availability approach's per-fact granularity)."""
-    hierarchy = dimension.dimension_type.hierarchy
-    own = dimension.category_of(direct_value)
-    if own == category or hierarchy.le(own, category):
-        ancestor = dimension.try_ancestor_at(direct_value, category)
-        if ancestor is not None:
-            return category, ancestor
-    candidates: list[str] = []
-    for candidate in hierarchy:
-        if not hierarchy.le(category, candidate):
-            continue
-        if dimension.try_ancestor_at(direct_value, candidate) is not None:
-            candidates.append(candidate)
-    if not candidates:  # pragma: no cover - TOP is always reachable
-        raise QueryError(
-            f"{dimension.name}: no category >= {category!r} available for "
-            f"value {direct_value!r}"
-        )
-    minimal = [
-        c
-        for c in candidates
-        if not any(hierarchy.lt(other, c) for other in candidates)
-    ]
-    chosen = minimal[0]
-    return chosen, dimension.ancestor_at(direct_value, chosen)
 
 
 def _result_mo(

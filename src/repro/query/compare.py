@@ -39,6 +39,8 @@ from typing import Sequence
 
 from ..core.dimension import ALL_VALUE, Dimension
 from ..errors import QueryError
+from ..timedim.calendar import parse_value
+from ..timedim.granularity import is_time_category
 
 
 class Approach(enum.Enum):
@@ -414,9 +416,6 @@ def _same_category_vs_constants(
     rights: tuple[str, ...],
 ) -> ComparisonResult:
     """Same-category comparison where constants may be unmaterialized."""
-    from ..timedim.calendar import parse_value
-    from ..timedim.granularity import is_time_category
-
     if is_time_category(category):
         rights = tuple(parse_value(category, r) for r in rights)
     if op == "in":

@@ -20,6 +20,7 @@ The result is bit-for-bit identical to :func:`repro.reduction.reducer.reduce_mo`
 from __future__ import annotations
 
 import datetime as _dt
+from itertools import compress
 from typing import Callable, Iterable, Mapping
 
 from ..core.mo import MultidimensionalObject
@@ -128,13 +129,19 @@ class CompiledAction:
 
 
 class CompiledPredicate:
-    """A bound predicate with per-(atom, value, approach) verdict caches.
+    """A bound predicate compiled at one evaluation time, answering
+    set-at-a-time.
 
     Mirrors :func:`repro.spec.predicate.evaluate` exactly — including the
     NOT conservative/liberal dual — but resolves every ``NOW`` term once
-    at construction and caches each atom's verdict per distinct direct
-    value, so re-evaluating the same predicate across many facts (and, in
-    the subcube engine, across many cubes) costs one dict hit per atom.
+    at construction and computes the verdict once per *distinct
+    combination of direct values* in the dimensions the predicate reads;
+    :meth:`satisfying_facts` broadcasts those verdicts over an MO's
+    relation columns.  Beneath that, each atom's verdict is kept per
+    distinct direct value, so a new combination of already-seen values
+    costs one dict hit per atom.  The tables (one per approach) live as
+    long as the plan and are shared by every MO it is asked about — in
+    the subcube engine, every cube of every query at this time.
     """
 
     def __init__(
@@ -149,25 +156,49 @@ class CompiledPredicate:
         # Keyed by atom identity: the predicate tree is held alive by
         # ``self.predicate``, so ids are stable for this plan's lifetime.
         self._rights: dict[int, object] = {}
-        self._cache: dict[tuple[int, str, Approach], bool] = {}
         for atom in predicate.atoms():
             rights = resolve_terms(atom, now)
             self._rights[id(atom)] = (
                 rights if atom.op == "in" else rights[0]
             )
+        #: The dimensions the predicate reads, in first-mention order.
+        self._reads = tuple(
+            dict.fromkeys(atom.ref.dimension for atom in predicate.atoms())
+        )
+        self._verdicts: dict[Approach, dict[tuple[str, ...], bool]] = {
+            approach: {} for approach in Approach
+        }
+        self._atom_verdicts: dict[Approach, dict[tuple[int, str], bool]] = {
+            approach: {} for approach in Approach
+        }
 
-    def satisfied_by(
+    def satisfying_facts(
         self,
-        value_of: Callable[[str], str],
+        mo: MultidimensionalObject,
         approach: Approach = Approach.CONSERVATIVE,
-    ) -> bool:
-        """Evaluate against a cell given as a dimension -> value lookup."""
-        return self._evaluate(self.predicate, value_of, approach)
+    ) -> list[str]:
+        """The facts of *mo* satisfying the predicate, in *mo*'s order."""
+        fact_ids = list(mo.facts())
+        reads = self._reads
+        if not reads:  # a constant predicate: one verdict for every fact
+            constant = self._evaluate(self.predicate, {}, approach)
+            return fact_ids if constant else []
+        combinations = list(
+            zip(*(mo.relations[name].values_of(fact_ids) for name in reads))
+        )
+        verdicts = self._verdicts[approach]
+        for combination in set(combinations).difference(verdicts):
+            verdicts[combination] = self._evaluate(
+                self.predicate, dict(zip(reads, combination)), approach
+            )
+        return list(
+            compress(fact_ids, map(verdicts.__getitem__, combinations))
+        )
 
     def _evaluate(
         self,
         node: Predicate,
-        value_of: Callable[[str], str],
+        cell: Mapping[str, str],
         approach: Approach,
     ) -> bool:
         if isinstance(node, TruePredicate):
@@ -175,11 +206,12 @@ class CompiledPredicate:
         if isinstance(node, FalsePredicate):
             return False
         if isinstance(node, Atom):
-            value = value_of(node.ref.dimension)
-            key = (id(node), value, approach)
-            verdict = self._cache.get(key)
+            value = cell[node.ref.dimension]
+            verdicts = self._atom_verdicts[approach]
+            key = (id(node), value)
+            verdict = verdicts.get(key)
             if verdict is None:
-                verdict = atom_compare(
+                verdict = verdicts[key] = atom_compare(
                     self._dimensions[node.ref.dimension],
                     value,
                     node.ref.category,
@@ -187,19 +219,18 @@ class CompiledPredicate:
                     self._rights[id(node)],
                     approach,
                 )
-                self._cache[key] = verdict
             return verdict
         if isinstance(node, Not):
             return not self._evaluate(
-                node.operand, value_of, dual_approach(approach)
+                node.operand, cell, dual_approach(approach)
             )
         if isinstance(node, And):
             return all(
-                self._evaluate(p, value_of, approach) for p in node.operands
+                self._evaluate(p, cell, approach) for p in node.operands
             )
         if isinstance(node, Or):
             return any(
-                self._evaluate(p, value_of, approach) for p in node.operands
+                self._evaluate(p, cell, approach) for p in node.operands
             )
         raise SpecSemanticsError(f"cannot evaluate {node!r}")
 

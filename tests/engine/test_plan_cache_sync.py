@@ -122,3 +122,30 @@ def test_cached_answers_stay_correct_across_syncs(store):
         assert rows(query_store(store, COM_QUERY, at)) == rows(
             query_store(cold, COM_QUERY, at)
         )
+
+
+def test_cold_predicate_texts_cannot_grow_the_cache_without_bound(store):
+    """One-off constants (``URL.url = '<user input>'``) are evicted least
+    recently used, text and plans together; a hot text stays compiled."""
+    from repro.engine.queryproc import MAX_CACHED_TEXTS
+
+    cache = warm(store, T_QUIET)
+    hot_plan = cache.plan_for_text(COM_PREDICATE, T_QUIET)
+    granularity = {"Time": "year", "URL": "url"}
+    for index in range(1000):
+        cold = SubcubeQuery(f"URL.url = 'http://cold/{index}'", granularity)
+        query_store(store, cold, T_QUIET)
+        if index % 50 == 0:
+            query_store(store, COM_QUERY, T_QUIET)
+    assert cache.n_bound <= MAX_CACHED_TEXTS
+    assert cache.n_plans <= MAX_CACHED_TEXTS
+    assert cache.plan_for_text(COM_PREDICATE, T_QUIET) is hot_plan
+    metrics = store.metrics
+    assert (
+        metrics.value("repro_query_plan_cache_misses_total", {"cache": "bound"})
+        == 1001
+    )
+    assert (
+        metrics.value("repro_query_plan_cache_misses_total", {"cache": "plan"})
+        == 1001
+    )

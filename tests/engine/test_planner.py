@@ -35,6 +35,47 @@ def store():
 
 QUERY = SubcubeQuery(None, {"Time": "month", "URL": "domain_grp"})
 
+#: The pipeline benchmark's eight request shapes, with this example's
+#: constants.
+BENCHMARK_SHAPES = [
+    SubcubeQuery(None, {"Time": "__top__", "URL": "__top__"}),
+    SubcubeQuery("URL.domain_grp = '.com'", {"Time": "year", "URL": "domain_grp"}),
+    SubcubeQuery(None, {"Time": "month", "URL": "domain"}),
+    SubcubeQuery("Time.month >= NOW - 2 months", {"Time": "day", "URL": "domain"}),
+    SubcubeQuery("URL.domain = 'cnn.com'", {"Time": "quarter", "URL": "domain"}),
+    SubcubeQuery(
+        "URL.domain_grp = '.edu' AND Time.year = '2000'",
+        {"Time": "month", "URL": "domain_grp"},
+    ),
+    SubcubeQuery("Time.year = '1999'", {"Time": "day", "URL": "url"}),
+    SubcubeQuery(
+        "URL.url = 'http://www.cnn.com/health'", {"Time": "month", "URL": "url"}
+    ),
+]
+
+
+def _bound_misses(store):
+    return (
+        store.metrics.value(
+            "repro_query_plan_cache_misses_total", {"cache": "bound"}
+        )
+        or 0
+    )
+
+
+def _check_plans_match_queries(store, at, assume_synchronized):
+    for query in BENCHMARK_SHAPES:
+        expected_misses = _bound_misses(store) + (query.predicate is not None)
+        plan = explain_plan(store, query, at, assume_synchronized)
+        # The plan runs the path it describes: the store's cached,
+        # compiled predicate, bound once however many cubes it visits.
+        assert _bound_misses(store) == expected_misses
+        direct = query_store(store, query, at, assume_synchronized)
+        assert _bound_misses(store) == expected_misses
+        assert mo_rows(plan.result) == mo_rows(direct)
+        assert list(plan.result.facts()) == list(direct.facts())
+        assert plan.combined_rows == direct.n_facts
+
 
 class TestPlan:
     def test_steps_cover_all_cubes(self, store):
@@ -65,10 +106,13 @@ class TestPlan:
     def test_plan_result_matches_query_store(self, store):
         at = SNAPSHOT_TIMES[-1]
         store.synchronize(at)
-        plan = explain_plan(store, QUERY, at)
-        direct = query_store(store, QUERY, at)
-        assert mo_rows(plan.result) == mo_rows(direct)
-        assert plan.combined_rows == direct.n_facts
+        _check_plans_match_queries(store, at, assume_synchronized=True)
+
+    def test_unsynchronized_plan_result_matches_query_store(self, store):
+        store.synchronize(SNAPSHOT_TIMES[0])  # everything still in K0
+        _check_plans_match_queries(
+            store, SNAPSHOT_TIMES[-1], assume_synchronized=False
+        )
 
     def test_unsynchronized_plan_reports_parent_pulls(self, store):
         store.synchronize(SNAPSHOT_TIMES[0])  # everything still in K0
