@@ -3,8 +3,8 @@
 Asserts two shape claims about this repo's batch engine (how fast either
 runs is ``benchmarks/pipeline/``'s question, not this file's):
 
-* ``reduce_mo``'s default dispatch picks the columnar kernel on the
-  clickstream workload and matches the interpretive reference;
+* ``reduce_mo``'s default, the columnar kernel, matches the interpretive
+  reference on the clickstream workload fact for fact;
 * incremental synchronization examines strictly fewer facts than a full
   rescan across a two-step NOW advance (proved by the examined counter,
   not just by move counts).
@@ -18,13 +18,13 @@ from repro.reduction.reducer import reduce_mo
 from conftest import BENCH_NOW, emit
 
 
-def test_b8_auto_dispatch_uses_columnar(clickstream_mo, clickstream_spec):
-    """``reduce_mo`` defaults to the columnar kernel at this size, so the
-    auto path must match the interpretive reference exactly too."""
+def test_b8_default_is_the_columnar_kernel(clickstream_mo, clickstream_spec):
+    """``reduce_mo`` runs the columnar kernel by default, and it must
+    match the interpretive reference exactly."""
     mo, spec = clickstream_mo, clickstream_spec
-    auto = reduce_mo(mo, spec, BENCH_NOW)
+    default = reduce_mo(mo, spec, BENCH_NOW)
     interpretive = reduce_mo(mo, spec, BENCH_NOW, backend="interpretive")
-    assert list(auto.facts()) == list(interpretive.facts())
+    assert list(default.facts()) == list(interpretive.facts())
 
 
 def test_b8_incremental_sync_examines_fewer(

@@ -10,7 +10,6 @@ import datetime as dt
 
 import pytest
 
-from repro.reduction.compiled import reduce_mo_compiled
 from repro.reduction.reducer import reduce_mo
 from repro.spec.specification import ReductionSpecification
 from repro.workload import (
@@ -57,7 +56,7 @@ def test_b7_incremental_cheaper_than_first_pass(benchmark):
 
     mo, spec = workload(6)
     # Pin the interpretive backend: the claim under test is about the
-    # row-wise engine's incremental shape, not the auto-dispatch winner.
+    # row-wise engine's incremental shape, not the columnar default.
     start = time.perf_counter()
     first = reduce_mo(mo, spec, BENCH_NOW, backend="interpretive")
     first_pass = time.perf_counter() - start
@@ -112,35 +111,3 @@ def test_b7_action_count_overhead(benchmark):
     # so the result is unchanged — only the evaluation cost differs.
     assert wide_result.n_facts == narrow_result.n_facts
 
-
-def test_b7_compiled_vs_interpreted(benchmark):
-    """The compiled evaluator trades a one-off per-dimension compilation
-    pass for set-membership fact tests; on wide fact tables it wins."""
-    import time
-
-    mo, spec = workload(8)
-    # Pin the interpretive backend; bare reduce_mo would auto-dispatch to
-    # the columnar kernel at this size and invalidate the comparison.
-    start = time.perf_counter()
-    interpreted = reduce_mo(mo, spec, BENCH_NOW, backend="interpretive")
-    interpreted_seconds = time.perf_counter() - start
-
-    compiled = benchmark.pedantic(
-        reduce_mo_compiled, args=(mo, spec, BENCH_NOW), rounds=3, iterations=1
-    )
-    start = time.perf_counter()
-    reduce_mo_compiled(mo, spec, BENCH_NOW)
-    compiled_seconds = time.perf_counter() - start
-
-    assert sorted(compiled.direct_cell(f) for f in compiled.facts()) == sorted(
-        interpreted.direct_cell(f) for f in interpreted.facts()
-    )
-    emit(
-        "B7 compiled vs interpreted",
-        [
-            f"facts={mo.n_facts}: interpreted={interpreted_seconds * 1000:.0f}ms "
-            f"compiled={compiled_seconds * 1000:.0f}ms "
-            f"(x{interpreted_seconds / max(compiled_seconds, 1e-9):.1f})"
-        ],
-    )
-    assert compiled_seconds < interpreted_seconds

@@ -27,9 +27,9 @@ Commands
 
 ``reduce MO_FILE SPEC_FILE --at YYYY-MM-DD [-o OUT_FILE] [--stats]``
     Apply a reduction specification to a stored MO at a given date and
-    write the reduced MO (stdout by default).  ``--backend`` selects the
-    reducer; ``--workers N`` runs the certificate-driven shard-parallel
-    path (bit-for-bit identical output; ``REPRO_WORKERS`` is the env
+    write the reduced MO (stdout by default) with the columnar kernel;
+    ``--workers N`` runs the certificate-driven shard-parallel path
+    (bit-for-bit identical output; ``REPRO_WORKERS`` is the env
     equivalent); ``--stats`` prints an observability metrics snapshot to
     stdout instead of the MO (pass ``-o`` to keep the MO too), in the
     format picked by ``--stats-format json|prom|text``.
@@ -97,19 +97,20 @@ from .errors import ReproError
 
 
 def _shard_workers(workers: "int | None") -> "int | None":
-    """``--workers`` wins; otherwise ``REPRO_WORKERS`` engages sharding."""
-    if workers is not None:
-        return workers
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    return int(raw) if raw else None
+    """``--workers`` wins; otherwise ``REPRO_WORKERS`` engages sharding.
+
+    ``None`` when neither is given (the serial path); the value itself is
+    parsed by :func:`repro.parallel.executor.resolve_workers`.
+    """
+    if workers is None and not os.environ.get("REPRO_WORKERS", "").strip():
+        return None
+    from .parallel.executor import resolve_workers
+
+    return resolve_workers(workers)
 
 
 #: ``--stats-format`` / ``stats --format`` choices (see repro.obs.metrics).
 STATS_FORMATS = ("json", "prom", "text")
-
-#: Reducer backends, mirrored from ``repro.reduction.BACKENDS`` (kept
-#: literal here so building the parser stays import-light).
-REDUCER_BACKENDS = ("auto", "interpretive", "compiled", "columnar")
 
 
 def _add_stats_options(parser: argparse.ArgumentParser) -> None:
@@ -234,12 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="no_fsync",
         help="skip fsync calls in the durable store (faster, less durable)",
-    )
-    reduce_cmd.add_argument(
-        "--backend",
-        choices=REDUCER_BACKENDS,
-        default="auto",
-        help="reducer backend (default: auto)",
     )
     reduce_cmd.add_argument(
         "--workers",
@@ -525,7 +520,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 arguments.output,
                 arguments.durable_path,
                 not arguments.no_fsync,
-                arguments.backend,
                 arguments.workers,
                 *_stats_choice(arguments),
             )
@@ -830,7 +824,6 @@ def _reduce(
     output: str | None,
     durable_path: str | None = None,
     fsync: bool = True,
-    backend: str = "auto",
     workers: int | None = None,
     stats: bool = False,
     stats_format: str = "json",
@@ -855,10 +848,9 @@ def _reduce(
                 specification,
                 when,
                 executor=ShardExecutor(workers=workers),
-                backend=backend,
             )
         else:
-            reduced = reduce_mo(mo, specification, when, backend=backend)
+            reduced = reduce_mo(mo, specification, when)
         if durable_path:
             _materialize_durable(
                 mo, specification, when, durable_path, fsync, registry

@@ -8,12 +8,10 @@ measure.  The layout enables the batch kernels the reduction and subcube
 engines need:
 
 * :meth:`ColumnarFactTable.distinct_cells` — deduplicate coordinate rows
-  into distinct direct cells (``numpy`` when available, pure-``dict``
-  interning otherwise);
+  into distinct direct cells by interning code tuples in a dict;
 * :meth:`ColumnarFactTable.conjunct_mask` — batch predicate admission:
   evaluate a per-dimension value predicate once per *distinct value* and
-  broadcast the verdicts over all distinct cells (the vectorized form of
-  the per-value verdict caches in :mod:`repro.reduction.compiled`);
+  broadcast the verdicts over all distinct cells by code;
 * :meth:`ColumnarFactTable.rollup_column` — batch roll-up: the ancestor
   of every distinct value at a target category, computed once per code;
 * :meth:`ColumnarFactTable.aggregate_rows` — group-by-cell measure
@@ -23,9 +21,6 @@ engines need:
 Conversion is zero-copy in the sense that matters: measure values and
 :class:`~repro.core.facts.Provenance` objects are shared with the source
 MO, never rebuilt, so a round-trip costs only the column bookkeeping.
-
-Only the standard library is required; ``numpy`` is used opportunistically
-for the distinct-cell and admission kernels when importable.
 """
 
 from __future__ import annotations
@@ -37,16 +32,6 @@ from ..errors import FactError
 from .dimension import Dimension
 from .facts import Provenance
 from .schema import FactSchema
-
-try:  # pragma: no cover - exercised implicitly on numpy-enabled hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover - the stdlib fallback is tested
-    _np = None
-
-
-def have_numpy() -> bool:
-    """Whether the accelerated (numpy) kernel paths are available."""
-    return _np is not None
 
 
 class ColumnarFactTable:
@@ -279,29 +264,16 @@ class ColumnarFactTable:
         """Deduplicate coordinate rows into distinct code tuples.
 
         Returns ``(inverse, distinct)``: ``inverse[row]`` indexes into
-        ``distinct``, a list of per-dimension code tuples.  The numpy path
-        uses ``np.unique(axis=0)``; the fallback interns tuples in a dict.
-        The *order* of ``distinct`` is unspecified (callers must not rely
-        on it), only the row -> cell mapping is.
+        ``distinct``, a list of per-dimension code tuples in first-encounter
+        (row) order.  Callers rely only on the row -> cell mapping.
         """
         names = self.schema.dimension_names
         if not names:
             return [0] * self.n_rows, [()] if self.n_rows else []
-        if _np is not None and self.n_rows:
-            matrix = _np.empty((self.n_rows, len(names)), dtype=_np.int64)
-            for di, name in enumerate(names):
-                matrix[:, di] = _np.frombuffer(self.codes[name], dtype=_np.int64)
-            unique, inverse = _np.unique(matrix, axis=0, return_inverse=True)
-            return (
-                inverse.reshape(-1).tolist(),
-                [tuple(row) for row in unique.tolist()],
-            )
         seen: dict[tuple[int, ...], int] = {}
         inverse: list[int] = []
         distinct: list[tuple[int, ...]] = []
-        columns = [self.codes[name] for name in names]
-        for row in range(self.n_rows):
-            key = tuple(column[row] for column in columns)
+        for key in zip(*(self.codes[name] for name in names)):
             cell_index = seen.get(key)
             if cell_index is None:
                 cell_index = len(distinct)
@@ -325,20 +297,15 @@ class ColumnarFactTable:
         if not dimension_predicates:
             return [True] * len(distinct)
         names = self.schema.dimension_names
-        per_dimension: list[tuple[int, list[bool]]] = []
+        mask = [True] * len(distinct)
         for name, predicate in dimension_predicates.items():
             bits = [predicate(value) for value in self._values[name]]
-            per_dimension.append((names.index(name), bits))
-        if _np is not None and distinct:
-            matrix = _np.asarray(distinct, dtype=_np.int64)
-            out = _np.ones(len(distinct), dtype=bool)
-            for di, bits in per_dimension:
-                out &= _np.asarray(bits, dtype=bool)[matrix[:, di]]
-            return out.tolist()
-        return [
-            all(bits[cell[di]] for di, bits in per_dimension)
-            for cell in distinct
-        ]
+            di = names.index(name)
+            mask = [
+                admitted and bits[cell[di]]
+                for admitted, cell in zip(mask, distinct)
+            ]
+        return mask
 
     def rollup_column(
         self, dimension_name: str, category: str

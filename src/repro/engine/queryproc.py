@@ -31,8 +31,7 @@ from ..query.aggregation import (
     aggregate_facts,
 )
 from ..query.compare import Approach
-from ..query.selection import bind_query_predicate
-from ..reduction.compiled import CompiledPredicate
+from ..query.selection import CompiledPredicate, bind_query_predicate
 from ..spec.ast import Predicate
 from .store import SubcubeStore
 from .subcube import SubCube

@@ -43,10 +43,21 @@ MODES = ("auto", "serial", "process")
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """The effective worker count: argument, else ``REPRO_WORKERS``, else 1."""
+    """The effective worker count: argument, else ``REPRO_WORKERS``, else 1.
+
+    Counts below one mean one.  A ``REPRO_WORKERS`` that is not an
+    integer raises :class:`ReproError` naming the value.
+    """
     if workers is None:
         raw = os.environ.get("REPRO_WORKERS", "").strip()
-        workers = int(raw) if raw else 1
+        if not raw:
+            return 1
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ReproError(
+                f"REPRO_WORKERS must be an integer, got {raw!r}"
+            ) from None
     return max(1, int(workers))
 
 

@@ -1,4 +1,4 @@
-"""Shard-parallel reduction, bit-for-bit equal to the serial backends.
+"""Shard-parallel reduction, bit-for-bit equal to the serial reducer.
 
 Workers do the expensive half of Definition 2 — computing each fact's
 target cell — and return only the resulting *grouping* (target cell →
@@ -27,11 +27,9 @@ from ..engine.faults import PASSIVE, FaultInjector
 from ..errors import ReproError
 from ..obs import trace
 from ..reduction import telemetry
-from ..reduction.compiled import compile_specification, _compiled_groups
 from ..reduction.columnar import reduction_groups_columnar
 from ..reduction.reducer import (
     BACKENDS,
-    COLUMNAR_THRESHOLD,
     _interpretive_groups,
     materialize_groups,
 )
@@ -50,12 +48,8 @@ def _group_task(payload: dict, task: int) -> tuple[list[tuple], list[int]]:
         return [], [0] * len(actions)
     sub = payload["mo"].restrict_to_facts(shard.fact_ids)
     live = [actions[index] for index in shard.action_indices]
-    backend = payload["backend"]
-    if backend == "columnar":
+    if payload["backend"] == "columnar":
         groups, counts = reduction_groups_columnar(sub, live, payload["now"])
-    elif backend == "compiled":
-        compiled = compile_specification(sub, live, payload["now"])
-        groups, counts = _compiled_groups(sub, compiled)
     else:
         groups, counts = _interpretive_groups(sub, live, payload["now"])
     full_counts = [0] * len(actions)
@@ -70,7 +64,7 @@ def reduce_mo_sharded(
     now: _dt.date,
     *,
     executor: ShardExecutor,
-    backend: str = "auto",
+    backend: str = "columnar",
     faults: FaultInjector = PASSIVE,
 ) -> MultidimensionalObject:
     """``reduce_mo`` over cost-balanced shards (same result, any mode)."""
@@ -83,14 +77,9 @@ def reduce_mo_sharded(
         if isinstance(specification, ReductionSpecification)
         else list(specification)
     )
-    resolved = backend
-    if resolved == "auto":
-        resolved = (
-            "columnar" if mo.n_facts >= COLUMNAR_THRESHOLD else "interpretive"
-        )
     start = time.perf_counter()
     with trace.span(
-        "reduce.sharded", backend=resolved, workers=executor.workers
+        "reduce.sharded", backend=backend, workers=executor.workers
     ) as span:
         plan = plan_reduction_shards(
             mo,
@@ -105,7 +94,7 @@ def reduce_mo_sharded(
             "actions": actions,
             "now": now,
             "plan": plan,
-            "backend": resolved,
+            "backend": backend,
         }
         with executor.session(payload) as session:
             results, task_seconds = session.run(
@@ -138,7 +127,7 @@ def reduce_mo_sharded(
         span.set_attribute("facts_in", mo.n_facts)
         span.set_attribute("facts_out", reduced.n_facts)
     telemetry.record_run(
-        f"sharded-{resolved}",
+        f"sharded-{backend}",
         mo.n_facts,
         reduced.n_facts,
         time.perf_counter() - start,

@@ -2,12 +2,6 @@
 
 from .auxiliary import agg_level, agg_levels, cell, spec_gran
 from .columnar import reduce_mo_columnar
-from .compiled import (
-    CompiledAction,
-    CompiledPredicate,
-    compile_specification,
-    reduce_mo_compiled,
-)
 from .extensions import (
     DeletionAction,
     drop_dimension,
@@ -17,7 +11,6 @@ from .extensions import (
 from .lifecycle import Warehouse, run_timeline
 from .reducer import (
     BACKENDS,
-    COLUMNAR_THRESHOLD,
     reduce_mo,
     reduction_groups,
     responsible_action,
@@ -25,13 +18,8 @@ from .reducer import (
 
 __all__ = [
     "BACKENDS",
-    "COLUMNAR_THRESHOLD",
-    "CompiledAction",
-    "CompiledPredicate",
     "reduce_mo_columnar",
     "DeletionAction",
-    "compile_specification",
-    "reduce_mo_compiled",
     "Warehouse",
     "drop_dimension",
     "drop_measure",

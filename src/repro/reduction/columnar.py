@@ -1,8 +1,8 @@
-"""Columnar reduction: the batch-kernel backend of ``reduce_mo``.
+"""Columnar reduction: the batch kernel behind ``reduce_mo``.
 
-Where the interpretive reducer walks every action predicate per fact and
-the compiled reducer caches per-value verdicts lazily per fact stream,
-this backend restructures the whole pass around the columnar fact table
+Where the interpretive reducer (the Definition 2 oracle) walks every
+action predicate per fact, this kernel — the one production reducer —
+restructures the whole pass around the columnar fact table
 (:mod:`repro.core.columnar`):
 
 1. encode facts once into interned code columns;
@@ -23,16 +23,16 @@ crossing-specification error.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from ..core.facts import Provenance, aggregate_fact_id
 from ..core.mo import MultidimensionalObject
 from ..errors import SpecSemanticsError
 from ..obs import trace
-from ..spec.action import Action
+from ..query.compare import atom_compare
+from ..spec.action import Action, resolve_terms
 from ..spec.specification import ReductionSpecification
 from . import telemetry
-from .compiled import CompiledAction
 
 
 def reduce_mo_columnar(
@@ -52,7 +52,7 @@ def reduce_mo_columnar(
 
     with trace.span("reduce.columnar.fold") as fold_span:
         # Group rows by target cell, preserving first-encounter order (the
-        # same group order the row-wise reducers produce).
+        # same group order the interpretive reducer produces).
         groups: dict[tuple[str, ...], list[int]] = {}
         for row, cell_index in enumerate(inverse):
             groups.setdefault(targets[cell_index], []).append(row)
@@ -119,8 +119,8 @@ def reduction_groups_columnar(
     """Grouping plus per-action admitted counts via the columnar plan.
 
     Groups are keyed by target cell in first-encounter (row) order with
-    members in row order — exactly the grouping the row-wise backends
-    produce, so a parent process can materialize the merged result with
+    members in row order — exactly the grouping the interpretive reducer
+    produces, so a parent process can materialize the merged result with
     :func:`repro.reduction.reducer.materialize_groups`.
     """
     actions = (
@@ -157,12 +157,9 @@ def _columnar_plan(
 
     # Batch admission: one boolean vector per action over distinct cells.
     with trace.span("reduce.columnar.admit", actions=len(actions)):
-        compiled = [
-            CompiledAction(action, mo.dimensions, now) for action in actions
-        ]
         admitted: list[list[bool]] = []
-        for candidate in compiled:
-            conjuncts = candidate.conjunct_predicates()
+        for action in actions:
+            conjuncts = _conjunct_predicates(action, mo.dimensions, now)
             if not conjuncts:
                 admitted.append([False] * n_cells)
                 continue
@@ -174,7 +171,7 @@ def _columnar_plan(
 
     # Per-action admission telemetry: each distinct cell's verdict counts
     # once per row mapping to it, so the totals equal the per-fact counts
-    # the row-wise backends report.
+    # the interpretive reducer reports.
     weights = [0] * n_cells
     for cell_index in inverse:
         weights[cell_index] += 1
@@ -205,12 +202,13 @@ def _columnar_plan(
             best = decisions.get((base, bits))
             if best is None:
                 best = base
-                for candidate, bit in zip(compiled, bits):
+                for action, bit in zip(actions, bits):
                     if not bit:
                         continue
-                    if schema.le_granularity(best, candidate.granularity):
-                        best = candidate.granularity
-                    elif not schema.le_granularity(candidate.granularity, best):
+                    granularity = action.cat()
+                    if schema.le_granularity(best, granularity):
+                        best = granularity
+                    elif not schema.le_granularity(granularity, best):
                         values = dict(
                             zip(
                                 names,
@@ -223,7 +221,7 @@ def _columnar_plan(
                         raise SpecSemanticsError(
                             f"cell {values!r}: incomparable target "
                             f"granularities {best!r} and "
-                            f"{candidate.granularity!r}; the specification "
+                            f"{granularity!r}; the specification "
                             "is crossing"
                         )
                 decisions[(base, bits)] = best
@@ -252,3 +250,44 @@ def _columnar_plan(
             targets.append(tuple(values_out))
         plan_span.set_attribute("decisions", len(decisions))
     return table, inverse, targets, admitted_counts
+
+
+def _conjunct_predicates(
+    action: Action,
+    dimensions: Mapping[str, object],
+    now: _dt.date,
+) -> list[dict[str, Callable[[str], bool]]]:
+    """Per DNF conjunct of *action*: one per-value admission predicate per
+    dimension it constrains, with every ``NOW`` term resolved at *now*.
+
+    :meth:`repro.core.columnar.ColumnarFactTable.conjunct_mask` calls
+    each predicate once per distinct value of its dimension and
+    broadcasts the verdicts by code.
+    """
+    out: list[dict[str, Callable[[str], bool]]] = []
+    for atoms in action.conjuncts():
+        per_dimension: dict[str, list] = {}
+        for atom in atoms:
+            rights = resolve_terms(atom, now)
+            right = rights if atom.op == "in" else rights[0]
+            per_dimension.setdefault(atom.ref.dimension, []).append(
+                (atom, right)
+            )
+        predicates: dict[str, Callable[[str], bool]] = {}
+        for name, dim_atoms in per_dimension.items():
+
+            def admit(
+                value: str,
+                dimension=dimensions[name],
+                dim_atoms=dim_atoms,
+            ) -> bool:
+                return all(
+                    atom_compare(
+                        dimension, value, atom.ref.category, atom.op, right
+                    )
+                    for atom, right in dim_atoms
+                )
+
+            predicates[name] = admit
+        out.append(predicates)
+    return out

@@ -57,16 +57,9 @@ class Warehouse:
         self,
         mo: MultidimensionalObject,
         specification: ReductionSpecification,
-        engine: str = "interpreted",
     ) -> None:
-        """``engine`` selects the reducer: ``"interpreted"`` (the literal
-        Definition 2 evaluator) or ``"compiled"`` (the observationally
-        identical fast path of :mod:`repro.reduction.compiled`)."""
-        if engine not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown reduction engine {engine!r}")
         self._mo = mo
         self._specification = specification
-        self._engine = engine
         self._clock: _dt.date | None = None
         self.history: list[dict[str, object]] = []
 
@@ -101,12 +94,7 @@ class Warehouse:
             )
         self._clock = now
         before = self._mo.n_facts
-        if self._engine == "compiled":
-            from .compiled import reduce_mo_compiled
-
-            self._mo = reduce_mo_compiled(self._mo, self._specification, now)
-        else:
-            self._mo = reduce_mo(self._mo, self._specification, now)
+        self._mo = reduce_mo(self._mo, self._specification, now)
         self.history.append(
             {
                 "time": now,

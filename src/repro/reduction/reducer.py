@@ -22,44 +22,33 @@ from ..spec.specification import ReductionSpecification
 from . import telemetry
 from .auxiliary import cell as cell_of
 
-#: Fact count at or above which ``backend="auto"`` switches from the
-#: interpretive reference to the columnar kernel.  Small MOs stay on the
-#: reference path, which keeps the interpreter authoritative in the
-#: property suite (whose MOs are far below this) while large workloads get
-#: the batch kernels by default.
-COLUMNAR_THRESHOLD = 256
-
-#: The selectable reducer backends (``"auto"`` dispatches by size).
-BACKENDS = ("auto", "interpretive", "compiled", "columnar")
+#: The selectable reducer backends: the columnar kernel (the default, at
+#: every size) and the interpretive Definition 2 oracle it is checked
+#: against.
+BACKENDS = ("columnar", "interpretive")
 
 
 def reduce_mo(
     mo: MultidimensionalObject,
     specification: ReductionSpecification | Iterable[Action],
     now: _dt.date,
-    backend: str = "auto",
+    backend: str = "columnar",
 ) -> MultidimensionalObject:
     """The reduced MO ``O'(t)`` per Definition 2 (a new object; ``mo`` is
     untouched).
 
-    ``backend`` selects the evaluation strategy — all three produce
-    bit-for-bit identical results (property-tested):
+    ``backend`` selects the evaluation strategy — both produce bit-for-bit
+    identical results (property-tested):
 
-    * ``"interpretive"`` — the per-fact AST-walking reference below;
-    * ``"compiled"`` — per-value verdict caches
-      (:func:`repro.reduction.compiled.reduce_mo_compiled`);
-    * ``"columnar"`` — batch kernels over the interned column layout
-      (:func:`repro.reduction.columnar.reduce_mo_columnar`);
-    * ``"auto"`` (default) — columnar for MOs with at least
-      :data:`COLUMNAR_THRESHOLD` facts, interpretive otherwise.
+    * ``"columnar"`` (default) — batch kernels over the interned column
+      layout (:func:`repro.reduction.columnar.reduce_mo_columnar`);
+    * ``"interpretive"`` — the per-fact AST-walking reference below, the
+      oracle the tests and the benchmark's correctness gate compare
+      against.
     """
     if backend not in BACKENDS:
         raise ReproError(
             f"unknown reducer backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "auto":
-        backend = (
-            "columnar" if mo.n_facts >= COLUMNAR_THRESHOLD else "interpretive"
         )
     start = time.perf_counter()
     with trace.span("reduce.run", backend=backend) as active:
@@ -67,10 +56,6 @@ def reduce_mo(
             from .columnar import reduce_mo_columnar
 
             reduced = reduce_mo_columnar(mo, specification, now)
-        elif backend == "compiled":
-            from .compiled import reduce_mo_compiled
-
-            reduced = reduce_mo_compiled(mo, specification, now)
         else:
             reduced = _reduce_interpretive(mo, specification, now)
         active.set_attribute("facts_in", mo.n_facts)
@@ -169,11 +154,7 @@ def reduction_groups(
         if isinstance(specification, ReductionSpecification)
         else list(specification)
     )
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for fact_id in mo.facts():
-        target_cell = cell_of(mo, actions, fact_id, now)
-        groups.setdefault(target_cell, []).append(fact_id)
-    return groups
+    return _interpretive_groups(mo, actions, now)[0]
 
 
 def responsible_action(

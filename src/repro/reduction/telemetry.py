@@ -1,8 +1,9 @@
 """Shared metric names and recording helpers for the reduction paths.
 
-All four reduction paths — interpretive, compiled, columnar, and the SQL
-reducer — report the same counter families with the same semantics, so
-the differential suite can assert that their telemetry agrees exactly:
+All three reduction paths — the interpretive oracle, the columnar
+kernel, and the SQL reducer — report the same counter families with the
+same semantics, so the differential suite can assert that their
+telemetry agrees exactly:
 
 * ``repro_reduce_runs_total{backend=...}`` — one per completed run;
 * ``repro_reduce_facts_input_total`` / ``..._output_total`` /

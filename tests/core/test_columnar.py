@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.columnar import ColumnarFactTable, have_numpy
+from repro.core.columnar import ColumnarFactTable
 from repro.errors import FactError
 from repro.experiments.paper_example import build_paper_mo
 
@@ -130,27 +130,3 @@ class TestKernels:
         with pytest.raises(FactError, match="unknown measure"):
             table.aggregate_of("nope")
 
-
-class TestNumpyFallback:
-    def test_fallback_kernels_match_numpy(self, mo, monkeypatch):
-        if not have_numpy():
-            pytest.skip("numpy unavailable; fallback is the only path")
-        import repro.core.columnar as columnar_module
-
-        table = mo.to_columnar()
-        inverse_np, distinct_np = table.distinct_cells()
-        mask_np = table.conjunct_mask(
-            distinct_np, {"Time": lambda v: v.startswith("1999")}
-        )
-        monkeypatch.setattr(columnar_module, "_np", None)
-        assert not have_numpy()
-        inverse_py, distinct_py = table.distinct_cells()
-        # Distinct *order* is unspecified across kernels; the row -> cell
-        # mapping must agree.
-        assert len(distinct_np) == len(distinct_py)
-        for row in range(table.n_rows):
-            assert distinct_np[inverse_np[row]] == distinct_py[inverse_py[row]]
-        mask_py = table.conjunct_mask(
-            distinct_np, {"Time": lambda v: v.startswith("1999")}
-        )
-        assert mask_py == mask_np

@@ -48,7 +48,7 @@ def store(mo):
 
 
 def monolithic_answer(mo, spec, query, at):
-    reduced = reduce_mo(mo, spec, at)
+    reduced = reduce_mo(mo, spec, at, backend="interpretive")
     selected = (
         select(reduced, query.predicate, at)
         if query.predicate

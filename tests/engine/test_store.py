@@ -68,7 +68,9 @@ class TestSynchronization:
     def test_matches_monolithic_reducer(self, mo, store):
         for at in SNAPSHOT_TIMES:
             store.synchronize(at)
-            expected = reduce_mo(mo, store.specification, at)
+            expected = reduce_mo(
+                mo, store.specification, at, backend="interpretive"
+            )
             materialized = store.materialize()
             assert sorted(
                 materialized.direct_cell(f) for f in materialized.facts()
@@ -131,7 +133,7 @@ class TestRebuild:
         assert any(
             d.granularity == ("year", "domain_grp") for d in store.definitions
         )
-        expected = reduce_mo(mo, bigger, at)
+        expected = reduce_mo(mo, bigger, at, backend="interpretive")
         materialized = store.materialize()
         assert sorted(
             materialized.direct_cell(f) for f in materialized.facts()
@@ -179,7 +181,7 @@ class TestIncomparableCubes:
             dt.date(2001, 2, 5),
         ):
             store.synchronize(at)
-            expected = reduce_mo(mo, spec, at)
+            expected = reduce_mo(mo, spec, at, backend="interpretive")
             materialized = store.materialize()
             assert sorted(
                 materialized.direct_cell(f) for f in materialized.facts()

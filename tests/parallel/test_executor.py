@@ -49,6 +49,10 @@ def test_resolve_workers_precedence(monkeypatch):
     assert resolve_workers() == 5
     assert resolve_workers(2) == 2  # the explicit argument wins
     assert resolve_workers(0) == 1  # floored at one
+    monkeypatch.setenv("REPRO_WORKERS", "abc")
+    assert resolve_workers(2) == 2  # never parsed when the argument wins
+    with pytest.raises(ReproError, match="REPRO_WORKERS.*'abc'"):
+        resolve_workers()
 
 
 def test_unknown_mode_is_rejected():

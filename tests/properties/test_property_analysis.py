@@ -11,9 +11,9 @@ Three families of generated cases:
   action pairs per run.
 
 * **Reachability soundness** — an action the analyzer declares
-  unsatisfiable admits zero facts on all four reduction backends
-  (interpretive, compiled, columnar, SQL); an action it declares dead
-  (union-covered) can be deleted without changing any backend's output
+  unsatisfiable admits zero facts on all three reduction paths
+  (interpretive, columnar, SQL); an action it declares dead
+  (union-covered) can be deleted without changing any path's output
   bit for bit.
 
 * **Pruning equivalence** — the disjoint predicates with and without
@@ -31,7 +31,7 @@ from repro.checks.prover import ProverConfig, sample_times
 from repro.engine.disjoint import disjoint_actions
 from repro.obs import metrics as obs_metrics
 from repro.query.compare import Approach
-from repro.reduction.reducer import reduce_mo
+from repro.reduction.reducer import BACKENDS, reduce_mo
 from repro.reduction.telemetry import REDUCE_ADMITTED
 from repro.spec.action import Action
 from repro.spec.predicate import cell_satisfies
@@ -197,7 +197,7 @@ class TestMatrixSoundness:
 def registries_after_reduce(mo, specification, at):
     """One metrics registry per reduction backend after a full run."""
     registries = {}
-    for backend in ("interpretive", "compiled", "columnar"):
+    for backend in BACKENDS:
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.use_registry(registry):
             reduce_mo(mo, specification, at, backend=backend)
@@ -281,7 +281,7 @@ class TestReachabilitySoundness:
         without_dead = ReductionSpecification(
             (com, edu), mo.dimensions, validate=False
         )
-        for backend in ("interpretive", "compiled", "columnar"):
+        for backend in BACKENDS:
             full = reduce_mo(mo, with_dead, at, backend=backend)
             trimmed = reduce_mo(mo, without_dead, at, backend=backend)
             assert observable(full) == observable(trimmed), backend

@@ -1,8 +1,8 @@
-"""Property-based equivalence of every reduction backend.
+"""Property-based equivalence of the reduction kernel and its oracle.
 
 The interpretive reducer is the executable form of Definition 2; the
-compiled and columnar backends are performance twins and must be
-*bit-for-bit* identical to it — same fact ids in the same order, same
+columnar kernel — what a bare ``reduce_mo`` runs — must be
+*bit-for-bit* identical to it: same fact ids in the same order, same
 cells, same provenance, same measure values.  The subcube store's
 insert+synchronize pipeline must agree observationally (cells and
 measures; its fact ids are cube-scoped by construction).
@@ -13,9 +13,7 @@ import datetime as dt
 from hypothesis import given, settings
 
 from repro.engine.store import SubcubeStore
-from repro.reduction import reduce_mo
-from repro.reduction.columnar import reduce_mo_columnar
-from repro.reduction.compiled import reduce_mo_compiled
+from repro.reduction import BACKENDS, reduce_mo
 
 from .strategies import evaluation_times, mos_with_specs
 
@@ -61,20 +59,11 @@ def load_all(store, mo):
 
 @SETTINGS
 @given(pair=mos_with_specs(), at=evaluation_times())
-def test_compiled_and_columnar_are_bit_for_bit(pair, at):
-    mo, spec = pair
-    interpretive = reduce_mo(mo, spec, at, backend="interpretive")
-    assert_identical(reduce_mo_compiled(mo, spec, at), interpretive)
-    assert_identical(reduce_mo_columnar(mo, spec, at), interpretive)
-
-
-@SETTINGS
-@given(pair=mos_with_specs(), at=evaluation_times())
 def test_explicit_backend_dispatch_is_bit_for_bit(pair, at):
     mo, spec = pair
     interpretive = reduce_mo(mo, spec, at, backend="interpretive")
-    for backend in ("compiled", "columnar", "auto"):
-        assert_identical(reduce_mo(mo, spec, at, backend=backend), interpretive)
+    assert_identical(reduce_mo(mo, spec, at, backend="columnar"), interpretive)
+    assert_identical(reduce_mo(mo, spec, at), interpretive)
 
 
 @SETTINGS
@@ -85,7 +74,7 @@ def test_store_pipeline_agrees_with_every_backend(pair, at):
     load_all(store, mo)
     store.synchronize(at)
     expected = observable(store.materialize())
-    for backend in ("interpretive", "compiled", "columnar"):
+    for backend in BACKENDS:
         assert observable(reduce_mo(mo, spec, at, backend=backend)) == expected
 
 

@@ -1,10 +1,11 @@
 """Differential testing: four reduction paths, one answer, one telemetry.
 
 Every case runs the same (MO, specification, NOW) through the
-interpretive, compiled, and columnar backends of ``reduce_mo`` *and*
+interpretive oracle and the columnar kernel of ``reduce_mo``, through
+the shard-parallel reducer (a two-shard plan run in-process), *and*
 through the SQLite reducer, then checks
 
-* the three in-memory backends agree **bit-for-bit** — fact ids, cells,
+* the three in-memory paths agree **bit-for-bit** — fact ids, cells,
   provenance, and measure values;
 * the SQL path agrees at cell/measure level (aggregate fact ids are
   deterministic cell ids there, so id parity is not expected);
@@ -33,6 +34,7 @@ from repro.core.builder import (
     dimension_type_from_chains,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.parallel import ShardExecutor, reduce_mo_sharded
 from repro.reduction.reducer import reduce_mo
 from repro.sql.loader import SqlWarehouse
 from repro.sql.reducer_sql import reduce_warehouse
@@ -48,10 +50,10 @@ from .strategies import (
     windowed_spec_for,
 )
 
-IN_MEMORY_BACKENDS = ("interpretive", "compiled", "columnar")
+IN_MEMORY_PATHS = ("interpretive", "columnar", "sharded")
 
 #: The counter families every path must report identically.  The
-#: ``runs``/``seconds`` families are excluded: they are keyed by backend
+#: ``runs``/``seconds`` families are excluded: they are keyed by path
 #: by design.
 SHARED_FAMILIES = (
     "repro_reduce_action_admitted_total",
@@ -111,14 +113,20 @@ def cell_content(mo):
     )
 
 
+def reduce_in_memory(mo, spec, at, path):
+    if path == "sharded":
+        executor = ShardExecutor(workers=2, mode="serial")
+        return reduce_mo_sharded(mo, spec, at, executor=executor)
+    return reduce_mo(mo, spec, at, backend=path)
+
+
 def run_all_paths(mo, spec, at):
     """All four reduction paths; returns {path: (content, counters)}."""
     results = {}
-    for backend in IN_MEMORY_BACKENDS:
-        reduced, counters = run_with_counters(
-            lambda b=backend: reduce_mo(mo, spec, at, backend=b)
+    for path in IN_MEMORY_PATHS:
+        results[path] = run_with_counters(
+            lambda p=path: reduce_in_memory(mo, spec, at, p)
         )
-        results[backend] = (reduced, counters)
 
     def sql_path():
         warehouse = SqlWarehouse.from_mo(mo)
@@ -133,10 +141,10 @@ def assert_differential_case(mo, spec, at):
     results = run_all_paths(mo, spec, at)
     reference, reference_counters = results["interpretive"]
     reference_bits = bitwise_content(reference)
-    for backend in ("compiled", "columnar"):
-        reduced, counters = results[backend]
-        assert bitwise_content(reduced) == reference_bits, backend
-        assert counters == reference_counters, backend
+    for path in IN_MEMORY_PATHS[1:]:
+        reduced, counters = results[path]
+        assert bitwise_content(reduced) == reference_bits, path
+        assert counters == reference_counters, path
     sql_mo, sql_counters = results["sql"]
     assert cell_content(sql_mo) == cell_content(reference)
     assert sql_counters == reference_counters

@@ -9,9 +9,10 @@ Two layers of the claim, both bit-for-bit:
   synchronization, with the ingest counters accounting for every fact.
 
 * **Reduction level** — an MO materialized through the columnar append
-  kernels in batches reduces identically to the directly-built MO under
-  all four reduction backends (interpretive, compiled, columnar, SQL),
-  with identical reduce counters, across the seeded differential corpus.
+  kernels in batches reduces identically to the directly-built MO on
+  all four reduction paths of the differential suite (interpretive,
+  columnar, sharded, SQL), with identical reduce counters, across its
+  seeded corpus.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.workload import (
 from tests.engine.durableutil import facts_of, fingerprint
 
 from .test_property_differential import (
-    IN_MEMORY_BACKENDS,
+    IN_MEMORY_PATHS,
     bitwise_content,
     build_case,
     cell_content,
@@ -163,13 +164,13 @@ class TestReductionEquivalence:
         streamed = batched_copy(mo, batch_size)
         direct_results = run_all_paths(mo, spec, at)
         streamed_results = run_all_paths(streamed, spec, at)
-        for backend in IN_MEMORY_BACKENDS:
-            direct, direct_counters = direct_results[backend]
-            via_ingest, ingest_counters = streamed_results[backend]
+        for path in IN_MEMORY_PATHS:
+            direct, direct_counters = direct_results[path]
+            via_ingest, ingest_counters = streamed_results[path]
             assert bitwise_content(via_ingest) == bitwise_content(direct), (
-                backend
+                path
             )
-            assert ingest_counters == direct_counters, backend
+            assert ingest_counters == direct_counters, path
         direct_sql, direct_sql_counters = direct_results["sql"]
         streamed_sql, streamed_sql_counters = streamed_results["sql"]
         assert cell_content(streamed_sql) == cell_content(direct_sql)

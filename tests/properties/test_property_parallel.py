@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from repro.engine.store import SubcubeStore
 from repro.parallel import ShardExecutor, reduce_mo_sharded
-from repro.reduction import reduce_mo
+from repro.reduction import BACKENDS, reduce_mo
 from repro.sql.loader import SqlWarehouse
 from repro.sql.reducer_sql import reduce_warehouse
 
@@ -31,7 +31,7 @@ WORKER_COUNTS = (1, 2, 4)
 @given(pair=mos_with_specs(), at=evaluation_times())
 def test_sharded_reduction_is_bit_for_bit(pair, at):
     mo, spec = pair
-    for backend in ("interpretive", "compiled", "columnar", "auto"):
+    for backend in BACKENDS:
         serial = reduce_mo(mo, spec, at, backend=backend)
         for workers in WORKER_COUNTS:
             executor = ShardExecutor(workers=workers, mode="serial")

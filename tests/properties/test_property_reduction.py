@@ -102,20 +102,6 @@ def test_facts_characterized_by_their_cells(pair, at):
 
 @SETTINGS
 @given(pair=mos_with_specs(), at=evaluation_times())
-def test_compiled_reducer_equivalent(pair, at):
-    """The compiled fast path is observationally identical (DESIGN §7)."""
-    from repro.reduction.compiled import reduce_mo_compiled
-
-    mo, spec = pair
-    interpreted = reduce_mo(mo, spec, at)
-    compiled = reduce_mo_compiled(mo, spec, at)
-    assert cells(compiled) == cells(interpreted)
-    for measure in mo.schema.measure_names:
-        assert compiled.total(measure) == interpreted.total(measure)
-
-
-@SETTINGS
-@given(pair=mos_with_specs(), at=evaluation_times())
 def test_legal_delete_has_no_observable_effect(pair, at):
     """Definition 4's guarantee: if an action may be deleted, reducing
     with or without it gives the same result on that MO at that time."""

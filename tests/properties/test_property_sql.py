@@ -50,7 +50,7 @@ def test_sql_reduction_matches_in_memory(pair, at):
     mo, spec = pair
     warehouse = SqlWarehouse.from_mo(mo)
     reduce_warehouse(warehouse, spec, at)
-    expected = reduce_mo(mo, spec, at)
+    expected = reduce_mo(mo, spec, at, backend="interpretive")
     actual = warehouse.to_mo(mo)
     assert content(actual) == content(expected)
 
@@ -67,7 +67,7 @@ def test_sql_progressive_reduction_matches(pair, at, gap):
     warehouse = SqlWarehouse.from_mo(mo)
     reduce_warehouse(warehouse, spec, at)
     reduce_warehouse(warehouse, spec, later)
-    expected = reduce_mo(mo, spec, later)
+    expected = reduce_mo(mo, spec, later, backend="interpretive")
     actual = warehouse.to_mo(mo)
     assert content(actual) == content(expected)
 

@@ -42,7 +42,7 @@ def test_store_equals_reducer_after_sync(pair, at):
     load_all(store, mo)
     store.synchronize(at)
     materialized = store.materialize()
-    expected = reduce_mo(mo, spec, at)
+    expected = reduce_mo(mo, spec, at, backend="interpretive")
     assert cells(materialized) == cells(expected)
     for measure in mo.schema.measure_names:
         assert materialized.total(measure) == expected.total(measure)
@@ -98,7 +98,7 @@ def test_store_query_equals_monolithic_query(pair, at):
         (row["Time"], row["URL"]): row["Dwell_time"]
         for row in mo_rows(query_store(store, query, at))
     }
-    reduced = reduce_mo(mo, spec, at)
+    reduced = reduce_mo(mo, spec, at, backend="interpretive")
     mono = aggregate(reduced, {"Time": "year", "URL": "domain_grp"})
     mono_answer = {
         mono.direct_cell(f): mono.measure_value(f, "Dwell_time")

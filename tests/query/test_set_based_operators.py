@@ -22,8 +22,7 @@ from repro.query.aggregation import (
     aggregate_facts,
 )
 from repro.query.compare import Approach
-from repro.query.selection import bind_query_predicate
-from repro.reduction.compiled import CompiledPredicate
+from repro.query.selection import CompiledPredicate, bind_query_predicate
 from repro.reduction.reducer import reduce_mo
 from repro.spec.predicate import satisfies
 

@@ -1,7 +1,6 @@
-"""The columnar reducer backend and ``reduce_mo``'s backend dispatch."""
+"""The columnar reducer and ``reduce_mo``'s dispatch to it."""
 
 import datetime as dt
-import types
 
 import pytest
 
@@ -11,12 +10,15 @@ from repro.experiments.paper_example import (
     build_paper_mo,
     paper_specification,
 )
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.reduction import (
     BACKENDS,
-    COLUMNAR_THRESHOLD,
     reduce_mo,
     reduce_mo_columnar,
 )
+from repro.reduction.telemetry import REDUCE_RUNS
+from repro.spec.action import Action
+from repro.spec.specification import ReductionSpecification
 
 
 @pytest.fixture()
@@ -62,10 +64,41 @@ class TestEquivalence:
         columnar = reduce_mo_columnar(mo, [], at)
         assert_identical(columnar, mo)
 
-    def test_crossing_specification_raises(self, mo):
-        from repro.spec.action import Action
-        from repro.spec.specification import ReductionSpecification
+    def test_duplicate_direct_cells_fold_like_the_oracle(
+        self, mo, specification
+    ):
+        mo.insert_fact(
+            "twin",
+            {"Time": "1999/12/4", "URL": "http://www.cnn.com/health"},
+            {
+                "Number_of": 1,
+                "Dwell_time": 5,
+                "Delivery_time": 1,
+                "Datasize": 1,
+            },
+        )
+        at = SNAPSHOT_TIMES[-1]
+        assert_identical(
+            reduce_mo_columnar(mo, specification, at),
+            reduce_mo(mo, specification, at, backend="interpretive"),
+        )
 
+    def test_disjunctive_action_matches_interpretive(self, mo):
+        either = Action.parse(
+            mo.schema,
+            "a[Time.month, URL.domain] o[(URL.domain_grp = '.com' AND "
+            "Time.month <= '1999/12') OR (URL.domain_grp = '.edu' AND "
+            "Time.month <= '2000/01')]",
+            "either",
+        )
+        spec = ReductionSpecification((either,), mo.dimensions)
+        at = dt.date(2001, 6, 1)
+        assert_identical(
+            reduce_mo_columnar(mo, spec, at),
+            reduce_mo(mo, spec, at, backend="interpretive"),
+        )
+
+    def test_crossing_specification_raises(self, mo):
         crossing = ReductionSpecification(
             (
                 Action.parse(
@@ -91,40 +124,21 @@ class TestEquivalence:
 
 class TestDispatch:
     def test_backends_tuple(self):
-        assert BACKENDS == ("auto", "interpretive", "compiled", "columnar")
+        assert BACKENDS == ("columnar", "interpretive")
 
     def test_unknown_backend_raises(self, mo, specification):
         with pytest.raises(ReproError, match="unknown reducer backend"):
             reduce_mo(mo, specification, SNAPSHOT_TIMES[0], backend="turbo")
 
-    def test_auto_uses_interpretive_below_threshold(
-        self, mo, specification, monkeypatch
-    ):
-        assert mo.n_facts < COLUMNAR_THRESHOLD
-        called = []
-        import repro.reduction.columnar as columnar_module
+    def test_default_is_columnar_at_every_size(self, mo, specification):
+        assert mo.n_facts == 7  # the paper's MO
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            reduce_mo(mo, specification, SNAPSHOT_TIMES[0])
+        assert registry.value(REDUCE_RUNS, {"backend": "columnar"}) == 1
+        assert registry.value(REDUCE_RUNS, {"backend": "interpretive"}) is None
 
-        monkeypatch.setattr(
-            columnar_module,
-            "reduce_mo_columnar",
-            lambda *a, **k: called.append(True),
-        )
-        reduce_mo(mo, specification, SNAPSHOT_TIMES[0])
-        assert not called
-
-    def test_auto_uses_columnar_at_threshold(
-        self, mo, specification, monkeypatch
-    ):
-        sentinel = types.SimpleNamespace(n_facts=1)
-        import repro.reduction.columnar as columnar_module
-
-        monkeypatch.setattr(
-            columnar_module, "reduce_mo_columnar", lambda *a, **k: sentinel
-        )
-        monkeypatch.setattr(type(mo), "n_facts", COLUMNAR_THRESHOLD)
-        assert reduce_mo(mo, specification, SNAPSHOT_TIMES[0]) is sentinel
-
-    @pytest.mark.parametrize("backend", ["interpretive", "compiled", "columnar"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_explicit_backends_agree(self, mo, specification, backend):
         at = SNAPSHOT_TIMES[1]
         expected = reduce_mo(mo, specification, at, backend="interpretive")

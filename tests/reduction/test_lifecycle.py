@@ -63,7 +63,9 @@ class TestWarehouse:
         assert warehouse.load(facts) == 7
         warehouse.advance_to(SNAPSHOT_TIMES[2])
         assert warehouse.fact_count() == 4
-        expected = reduce_mo(mo, spec, SNAPSHOT_TIMES[2])
+        expected = reduce_mo(
+            mo, spec, SNAPSHOT_TIMES[2], backend="interpretive"
+        )
         assert warehouse.granularity_histogram() == expected.granularity_histogram()
 
     def test_clock_cannot_go_backwards(self, mo, spec):
@@ -105,21 +107,3 @@ class TestWarehouse:
         month_fact = by_cell[("2000/01", "cnn.com")]
         assert warehouse.mo.measure_value(month_fact, "Number_of") == 3
 
-
-class TestEngineSelection:
-    def test_compiled_engine_equivalent(self, mo, spec):
-        interpreted = Warehouse(mo.copy(), spec)
-        compiled = Warehouse(mo.copy(), spec, engine="compiled")
-        for at in SNAPSHOT_TIMES:
-            interpreted.advance_to(at)
-            compiled.advance_to(at)
-            assert compiled.granularity_histogram() == (
-                interpreted.granularity_histogram()
-            )
-            assert compiled.mo.total("Dwell_time") == interpreted.mo.total(
-                "Dwell_time"
-            )
-
-    def test_unknown_engine_rejected(self, mo, spec):
-        with pytest.raises(ValueError, match="unknown reduction engine"):
-            Warehouse(mo, spec, engine="quantum")

@@ -40,7 +40,7 @@ class TestParity:
     def test_single_shot_reduction(self, mo, spec, at):
         warehouse = SqlWarehouse.from_mo(mo)
         reduce_warehouse(warehouse, spec, at)
-        expected = reduce_mo(mo, spec, at)
+        expected = reduce_mo(mo, spec, at, backend="interpretive")
         actual = warehouse.to_mo(mo)
         assert cells_and_measures(actual) == cells_and_measures(expected)
 
@@ -48,7 +48,9 @@ class TestParity:
         warehouse = SqlWarehouse.from_mo(mo)
         for at in SNAPSHOT_TIMES:
             reduce_warehouse(warehouse, spec, at)
-        expected = reduce_mo(mo, spec, SNAPSHOT_TIMES[-1])
+        expected = reduce_mo(
+            mo, spec, SNAPSHOT_TIMES[-1], backend="interpretive"
+        )
         actual = warehouse.to_mo(mo)
         assert cells_and_measures(actual) == cells_and_measures(expected)
 

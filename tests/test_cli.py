@@ -220,6 +220,36 @@ class TestReduce:
         out = capsys.readouterr().out
         assert json.loads(out)["fact_type"] == "Click"
 
+    def test_backend_is_not_an_option(self, stored, capsys):
+        mo_file, spec_file = stored
+        with pytest.raises(SystemExit) as raised:
+            main(
+                [
+                    "reduce",
+                    str(mo_file),
+                    str(spec_file),
+                    "--at",
+                    "2000-11-05",
+                    "--backend",
+                    "columnar",
+                ]
+            )
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_malformed_repro_workers_is_a_usage_error(
+        self, stored, monkeypatch, capsys
+    ):
+        mo_file, spec_file = stored
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        code = main(
+            ["reduce", str(mo_file), str(spec_file), "--at", "2000-11-05"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_WORKERS")
+        assert "'abc'" in err
+
 
 class TestStats:
     def test_stats_output(self, stored, capsys):
@@ -363,8 +393,6 @@ class TestObservabilityCli:
                 str(spec_file),
                 "--at",
                 "2000-11-05",
-                "--backend",
-                "columnar",
                 "--stats",
             ]
         )

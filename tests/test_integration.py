@@ -87,7 +87,7 @@ class TestThreeWayAgreement:
         store.load(facts_of(mo))
         warehouse = SqlWarehouse.from_mo(mo)
         for at in TIMES:
-            in_memory = reduce_mo(in_memory, spec, at)
+            in_memory = reduce_mo(in_memory, spec, at, backend="interpretive")
             store.synchronize(at)
             reduce_warehouse(warehouse, spec, at)
 
@@ -97,7 +97,7 @@ class TestThreeWayAgreement:
 
     def test_query_agreement_after_reduction(self, mo, spec):
         at = TIMES[-1]
-        reduced = reduce_mo(mo, spec, at)
+        reduced = reduce_mo(mo, spec, at, backend="interpretive")
 
         predicate = "Product.department = 'grocery'"
         granularity = {
@@ -162,7 +162,9 @@ class TestThreeWayAgreement:
             (f, c, m, 1) for f, c, m in all_facts[:half]
         )
 
-        in_memory = reduce_mo(in_memory, spec, TIMES[0])
+        in_memory = reduce_mo(
+            in_memory, spec, TIMES[0], backend="interpretive"
+        )
         store.synchronize(TIMES[0])
         reduce_warehouse(warehouse, spec, TIMES[0])
 
@@ -173,7 +175,9 @@ class TestThreeWayAgreement:
             (f, c, m, 1) for f, c, m in all_facts[half:]
         )
 
-        in_memory = reduce_mo(in_memory, spec, TIMES[1])
+        in_memory = reduce_mo(
+            in_memory, spec, TIMES[1], backend="interpretive"
+        )
         store.synchronize(TIMES[1])
         reduce_warehouse(warehouse, spec, TIMES[1])
 

@@ -1,7 +1,8 @@
-"""Moderate-scale smoke test: one year of clicks, all three backends.
+"""Moderate-scale smoke test: one year of clicks, every reduction path.
 
 Not a micro-benchmark — this guards against superlinear blowups and
-backend drift at a size an actual user would start at.
+drift between ``reduce_mo``, the subcube store, and the SQL reducer at a
+size an actual user would start at.
 """
 
 import datetime as dt
@@ -9,7 +10,7 @@ import datetime as dt
 import pytest
 
 from repro.engine.store import SubcubeStore
-from repro.reduction.compiled import reduce_mo_compiled
+from repro.reduction import reduce_mo
 from repro.spec.specification import ReductionSpecification
 from repro.sql.loader import SqlWarehouse
 from repro.sql.reducer_sql import reduce_warehouse
@@ -46,14 +47,14 @@ def big_spec(big_mo):
 
 @pytest.fixture(scope="module")
 def reduced(big_mo, big_spec):
-    return reduce_mo_compiled(big_mo, big_spec, NOW)
+    return reduce_mo(big_mo, big_spec, NOW)
 
 
 class TestScale:
     def test_volume(self, big_mo):
         assert big_mo.n_facts == 366 * 20
 
-    def test_compiled_reduction(self, big_mo, reduced):
+    def test_reduction(self, big_mo, reduced):
         assert reduced.n_facts < big_mo.n_facts / 5
         assert reduced.total("Number_of") == big_mo.n_facts
 
