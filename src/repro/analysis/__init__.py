@@ -5,7 +5,7 @@ DNF disjunct abstracts to per-dimension grounded value regions
 (:func:`repro.checks.prover.categorical_regions`) plus a day-axis time
 window (:func:`repro.spec.ranges.window_at`), evaluated against the
 dimension instances and the bounded prover's sampled horizon.  On top of
-the domain sit four analyses:
+the domain sit three analyses:
 
 * :func:`repro.analysis.matrix.relationship_matrix` — a sound
   action-relationship matrix (DISJOINT / SUBSUMED / SUBSUMES /
@@ -13,10 +13,7 @@ the domain sit four analyses:
 * :func:`repro.analysis.reach.reachability` — unsatisfiable and
   union-shadowed ("dead") actions;
 * :func:`repro.analysis.cost.estimate_costs` — static selectivity and
-  output-size estimates from hierarchy cell cardinalities;
-* :func:`repro.analysis.independence.independence_report` — the
-  independence certificate naming which disjoint subcubes touch provably
-  disjoint fact regions (the contract for shard-parallel reduction).
+  output-size estimates from hierarchy cell cardinalities.
 
 :func:`repro.analysis.report.analyze_specification` bundles them into one
 :class:`~repro.analysis.report.SpecAnalysis` consumed by the ``SDR2xx``
@@ -33,11 +30,6 @@ from .boxes import (
     window_modelled_exactly,
 )
 from .cost import ActionCost, estimate_costs
-from .independence import (
-    IndependencePair,
-    IndependenceReport,
-    independence_report,
-)
 from .matrix import (
     PairRelation,
     RelationshipMatrix,
@@ -57,8 +49,6 @@ __all__ = [
     "ANALYSIS_SCHEMA",
     "ActionCost",
     "ConjunctBox",
-    "IndependencePair",
-    "IndependenceReport",
     "PairRelation",
     "ReachabilityResult",
     "RelationshipMatrix",
@@ -69,7 +59,6 @@ __all__ = [
     "box_is_exact",
     "boxes_of",
     "estimate_costs",
-    "independence_report",
     "negation_prunable",
     "profile_contained",
     "region_contained",

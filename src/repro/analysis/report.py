@@ -1,8 +1,7 @@
 """The bundled analysis result consumed by lint, the CLI, and the docs.
 
 :func:`analyze_actions` / :func:`analyze_specification` run the
-relationship matrix, the reachability pass, the cost estimator, and (when
-a disjoint action set can be built) the independence certificate, and
+relationship matrix, the reachability pass and the cost estimator, and
 bundle them into one :class:`SpecAnalysis` with stable ``to_dict`` /
 ``render_text`` shapes.
 """
@@ -15,10 +14,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..checks.prover import ProverConfig
 from ..core.dimension import Dimension
-from ..errors import ReproError
 from ..spec.action import Action
 from .cost import ActionCost, estimate_costs
-from .independence import IndependenceReport, independence_report
 from .matrix import RelationshipMatrix, relationship_matrix
 from .reach import ReachabilityResult, reachability
 
@@ -26,7 +23,7 @@ if TYPE_CHECKING:
     from ..spec.specification import ReductionSpecification
 
 #: Stable schema tag of the JSON rendering.
-ANALYSIS_SCHEMA = "repro-analysis/1"
+ANALYSIS_SCHEMA = "repro-analysis/2"
 
 
 @dataclass
@@ -37,7 +34,6 @@ class SpecAnalysis:
     matrix: RelationshipMatrix
     reach: ReachabilityResult
     costs: tuple[ActionCost, ...]
-    independence: IndependenceReport | None
     reference: _dt.date
     horizon_years: int
 
@@ -50,9 +46,6 @@ class SpecAnalysis:
             "matrix": self.matrix.to_dict(),
             "reachability": self.reach.to_dict(),
             "costs": [cost.to_dict() for cost in self.costs],
-            "independence": (
-                self.independence.to_dict() if self.independence else None
-            ),
         }
 
     def render_text(self) -> str:
@@ -119,23 +112,6 @@ class SpecAnalysis:
                 f"<= {cost.admitted_cells} of {cost.total_cells} bottom "
                 f"cells ({selectivity}), <= {output} after rollup"
             )
-        lines.append("")
-        lines.append("Independence certificate:")
-        if self.independence is None:
-            lines.append("  (no disjoint action set could be built)")
-        else:
-            for pair in self.independence.pairs:
-                if pair.independent:
-                    dims = ", ".join(pair.separating_dimensions)
-                    lines.append(
-                        f"  {pair.first} || {pair.second} "
-                        f"(separated on {dims})"
-                    )
-            groups = " ".join(
-                "{" + ", ".join(group) + "}"
-                for group in self.independence.shard_groups
-            )
-            lines.append(f"  shard groups: {groups}")
         return "\n".join(lines) + "\n"
 
 
@@ -149,38 +125,14 @@ def analyze_actions(
     matrix = relationship_matrix(actions, dimensions, config)
     reach = reachability(actions, dimensions, config)
     costs = estimate_costs(actions, dimensions, config)
-    independence = _independence(actions, dimensions, config)
     return SpecAnalysis(
         actions=tuple(a.name for a in actions),
         matrix=matrix,
         reach=reach,
         costs=costs,
-        independence=independence,
         reference=config.reference,
         horizon_years=config.horizon_years,
     )
-
-
-def _independence(
-    actions: Sequence[Action],
-    dimensions: Mapping[str, Dimension] | None,
-    config: ProverConfig,
-) -> IndependenceReport | None:
-    if not actions:
-        return None
-    # Late imports keep the analysis layer importable without the engine.
-    from ..engine.disjoint import disjoint_actions
-    from ..spec.specification import ReductionSpecification
-
-    try:
-        specification = ReductionSpecification(
-            tuple(actions), dimensions, validate=False
-        )
-        cubes = disjoint_actions(specification)
-    except ReproError:
-        return None
-    by_name = {action.name: action for action in actions}
-    return independence_report(cubes, by_name, dimensions, config)
 
 
 def analyze_specification(

@@ -22,25 +22,22 @@ Commands
 ``analyze SPEC_FILE --mo MO_FILE [--format text|json|sarif]``
     Run the semantic analyzer (:mod:`repro.analysis`) over a
     specification: the action-relationship matrix, reachability, static
-    cost estimates, and the independence certificate for sharding, plus
-    the ``SDR2xx`` analyzer findings.  Exit status 1 signals findings.
+    cost estimates, plus the ``SDR2xx`` analyzer findings.  Exit status
+    1 signals findings.
 
 ``reduce MO_FILE SPEC_FILE --at YYYY-MM-DD [-o OUT_FILE] [--stats]``
     Apply a reduction specification to a stored MO at a given date and
     write the reduced MO (stdout by default) with the columnar kernel;
-    ``--workers N`` runs the certificate-driven shard-parallel path
-    (bit-for-bit identical output; ``REPRO_WORKERS`` is the env
-    equivalent); ``--stats`` prints an observability metrics snapshot to
-    stdout instead of the MO (pass ``-o`` to keep the MO too), in the
-    format picked by ``--stats-format json|prom|text``.
+    ``--stats`` prints an observability metrics snapshot to stdout
+    instead of the MO (pass ``-o`` to keep the MO too), in the format
+    picked by ``--stats-format json|prom|text``.
 
 ``sync MO_FILE SPEC_FILE --at YYYY-MM-DD [--at ...] [--stats]``
     Load the MO into a subcube store and synchronize at each given date
     in order (a NOW-advance trajectory); ``--full`` forces full rescans
-    instead of incremental suspect-region syncs; ``--workers N`` fans
-    fact classification out over the shard executor.  ``--stats`` prints
-    the store's metrics snapshot (examined/migrated/skipped counters,
-    undo log size, timings).
+    instead of incremental suspect-region syncs.  ``--stats`` prints the
+    store's metrics snapshot (examined/migrated/skipped counters, undo
+    log size, timings).
 
 ``query MO_FILE SPEC_FILE --at YYYY-MM-DD --granularity Dim=cat[,...]``
     Evaluate ``a[granularity](o[predicate](O))`` over the synchronized
@@ -80,8 +77,9 @@ Exit status
 -----------
 
 Every subcommand uses the same convention: ``0`` — clean; ``1`` —
-diagnostics, violations, or a failed gate; ``2`` — usage errors,
-unreadable inputs, or internal failures.
+diagnostics, violations, or a failed gate; ``2`` — usage errors (a
+malformed ``--at`` date included), unreadable inputs, or internal
+failures.
 """
 
 from __future__ import annotations
@@ -96,17 +94,14 @@ from typing import Sequence
 from .errors import ReproError
 
 
-def _shard_workers(workers: "int | None") -> "int | None":
-    """``--workers`` wins; otherwise ``REPRO_WORKERS`` engages sharding.
-
-    ``None`` when neither is given (the serial path); the value itself is
-    parsed by :func:`repro.parallel.executor.resolve_workers`.
-    """
-    if workers is None and not os.environ.get("REPRO_WORKERS", "").strip():
-        return None
-    from .parallel.executor import resolve_workers
-
-    return resolve_workers(workers)
+def _iso_date(text: str) -> dt.date:
+    """``--at``'s argparse type: an ISO ``YYYY-MM-DD`` date."""
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected an ISO date YYYY-MM-DD, got {text!r} ({exc})"
+        ) from None
 
 
 #: ``--stats-format`` / ``stats --format`` choices (see repro.obs.metrics).
@@ -222,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_cmd = sub.add_parser("reduce", help="reduce a stored MO")
     reduce_cmd.add_argument("mo_file")
     reduce_cmd.add_argument("spec_file")
-    reduce_cmd.add_argument("--at", required=True)
+    reduce_cmd.add_argument("--at", required=True, type=_iso_date)
     reduce_cmd.add_argument("-o", "--output")
     reduce_cmd.add_argument(
         "--durable",
@@ -236,13 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="no_fsync",
         help="skip fsync calls in the durable store (faster, less durable)",
     )
-    reduce_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the reduction over this many workers "
-        "(identical output; default: serial)",
-    )
     _add_stats_options(reduce_cmd)
 
     sync_cmd = sub.add_parser(
@@ -254,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--at",
         action="append",
         required=True,
+        type=_iso_date,
         dest="ats",
         help="synchronization date (repeatable; applied in order)",
     )
@@ -262,13 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="force full rescans instead of incremental synchronization",
     )
-    sync_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard fact classification over this many workers "
-        "(identical result; default: serial)",
-    )
     _add_stats_options(sync_cmd)
 
     query_cmd = sub.add_parser(
@@ -276,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_cmd.add_argument("mo_file")
     query_cmd.add_argument("spec_file")
-    query_cmd.add_argument("--at", required=True)
+    query_cmd.add_argument("--at", required=True, type=_iso_date)
     query_cmd.add_argument(
         "--granularity",
         action="append",
@@ -313,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("mo_file")
     explain.add_argument("spec_file")
-    explain.add_argument("--at", required=True)
+    explain.add_argument("--at", required=True, type=_iso_date)
 
     load = sub.add_parser(
         "load",
@@ -409,7 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("mo_file")
     serve.add_argument("spec_file")
     serve.add_argument(
-        "--at", required=True, help="initial synchronization date"
+        "--at",
+        required=True,
+        type=_iso_date,
+        help="initial synchronization date",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -437,12 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help="default per-request deadline in seconds (default 5)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard refresh synchronization over this many workers",
     )
     serve.add_argument(
         "--smoke",
@@ -520,7 +499,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 arguments.output,
                 arguments.durable_path,
                 not arguments.no_fsync,
-                arguments.workers,
                 *_stats_choice(arguments),
             )
         if arguments.command == "sync":
@@ -529,7 +507,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 arguments.spec_file,
                 arguments.ats,
                 arguments.full,
-                arguments.workers,
                 *_stats_choice(arguments),
             )
         if arguments.command == "query":
@@ -571,7 +548,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 arguments.max_queue,
                 arguments.max_inflight,
                 arguments.deadline,
-                arguments.workers,
                 arguments.smoke,
             )
         if arguments.command == "recover":
@@ -820,11 +796,10 @@ def _analyze(
 def _reduce(
     mo_file: str,
     spec_file: str,
-    at: str,
+    when: dt.date,
     output: str | None,
     durable_path: str | None = None,
     fsync: bool = True,
-    workers: int | None = None,
     stats: bool = False,
     stats_format: str = "json",
 ) -> int:
@@ -832,25 +807,13 @@ def _reduce(
     from .obs import metrics as obs_metrics
     from .reduction.reducer import reduce_mo
 
-    when = dt.date.fromisoformat(at)
     with open(mo_file) as stream:
         mo = load_mo(stream)
     with open(spec_file) as stream:
         specification = load_specification(stream, mo.schema, mo.dimensions)
     registry = obs_metrics.MetricsRegistry()
-    workers = _shard_workers(workers)
     with obs_metrics.use_registry(registry):
-        if workers is not None:
-            from .parallel import ShardExecutor, reduce_mo_sharded
-
-            reduced = reduce_mo_sharded(
-                mo,
-                specification,
-                when,
-                executor=ShardExecutor(workers=workers),
-            )
-        else:
-            reduced = reduce_mo(mo, specification, when)
+        reduced = reduce_mo(mo, specification, when)
         if durable_path:
             _materialize_durable(
                 mo, specification, when, durable_path, fsync, registry
@@ -900,9 +863,8 @@ def _materialize_durable(
 def _sync(
     mo_file: str,
     spec_file: str,
-    ats: list[str],
+    ats: list[dt.date],
     full: bool,
-    workers: int | None = None,
     stats: bool = False,
     stats_format: str = "json",
 ) -> int:
@@ -918,18 +880,11 @@ def _sync(
         mo = load_mo(stream)
     with open(spec_file) as stream:
         specification = load_specification(stream, mo.schema, mo.dimensions)
-    executor = None
-    workers = _shard_workers(workers)
-    if workers is not None:
-        from .parallel import ShardExecutor
-
-        executor = ShardExecutor(workers=workers)
     store = SubcubeStore(mo, specification)
     store.load(_facts_of(mo))
     report = sys.stderr if stats else sys.stdout
-    for at in ats:
-        when = dt.date.fromisoformat(at)
-        store.synchronize(when, incremental=not full, executor=executor)
+    for when in ats:
+        store.synchronize(when, incremental=not full)
         examined = int(store.metrics.value(SYNC_LAST_EXAMINED) or 0)
         migrated = int(store.metrics.value(SYNC_LAST_MIGRATED) or 0)
         print(
@@ -952,7 +907,7 @@ def _sync(
 def _query(
     mo_file: str,
     spec_file: str,
-    at: str,
+    when: dt.date,
     granularities: list[str],
     predicate: str | None,
     unsynchronized: bool,
@@ -966,7 +921,6 @@ def _query(
     from .obs import metrics as obs_metrics
     from .query.algebra import mo_rows
 
-    when = dt.date.fromisoformat(at)
     granularity: dict[str, str] = {}
     for entry in granularities:
         for part in entry.split(","):
@@ -1157,13 +1111,12 @@ def _load(
 def _serve(
     mo_file: str,
     spec_file: str,
-    at: str,
+    when: dt.date,
     host: str,
     port: int,
     max_queue: int,
     max_inflight: int,
     deadline: float,
-    workers: int | None,
     smoke: bool,
 ) -> int:
     import asyncio
@@ -1178,25 +1131,16 @@ def _serve(
         ServingService,
     )
 
-    when = dt.date.fromisoformat(at)
     with open(mo_file) as stream:
         mo = load_mo(stream)
     with open(spec_file) as stream:
         specification = load_specification(stream, mo.schema, mo.dimensions)
-    executor = None
-    workers = _shard_workers(workers)
-    if workers is not None:
-        from .parallel import ShardExecutor
-
-        executor = ShardExecutor(workers=workers)
     store = SubcubeStore(mo, specification)
     store.load(_facts_of(mo))
-    store.synchronize(when, executor=executor)
+    store.synchronize(when)
     # The chaos CI job drives failpoints through the environment, same
     # as the crash-recovery suites (REPRO_FAILPOINTS / REPRO_FAULT_SEED).
-    service = ServingService(
-        store, faults=FaultInjector.from_environment(), executor=executor
-    )
+    service = ServingService(store, faults=FaultInjector.from_environment())
     config = ServerConfig(
         host=host,
         port=port,
@@ -1218,8 +1162,8 @@ def _serve(
             try:
                 async with ServingClient(bound_host, bound_port) as client:
                     ping = await client.ping()
-                    queried = await client.query(at)
-                    synced = await client.sync(at)
+                    queried = await client.query(when.isoformat())
+                    synced = await client.sync(when.isoformat())
                 ok = bool(
                     ping.get("ok") and queried.get("ok") and synced.get("ok")
                 )
@@ -1316,11 +1260,10 @@ def _audit(durable_path: str, as_json: bool) -> int:
     return 0 if report.ok else 1
 
 
-def _explain(mo_file: str, spec_file: str, at: str) -> int:
+def _explain(mo_file: str, spec_file: str, when: dt.date) -> int:
     from .io import load_mo, load_specification
     from .spec.explain import describe_specification, explain_mo
 
-    when = dt.date.fromisoformat(at)
     with open(mo_file) as stream:
         mo = load_mo(stream)
     with open(spec_file) as stream:

@@ -36,7 +36,7 @@ _RULE_DEFS = (
         "A module-level mutable cache in a worker-imported package is "
         "not registered with the fork-safe cache registry, so forked "
         "shard workers inherit it uncleared.",
-        "docs/parallelism.md — fork hygiene",
+        "docs/performance.md — the sharded batch reducer",
         hint="register it via repro._forkreg.register_cache(name, "
         "clearer, size) so forksafe.clear_inherited_caches sweeps it",
     ),

@@ -474,62 +474,6 @@ class DurableStore(SubcubeStore):
             )
             self._sync_begin_lsn = None
 
-    def _journal_sync_begin_sharded(
-        self, now: _dt.date, incremental: bool
-    ) -> int | None:
-        if self._replaying:
-            return None
-        self._sync_begin_lsn = self._journal.append(
-            "sync_begin_sharded",
-            {"at": now.isoformat(), "incremental": incremental},
-        )
-        return self._sync_begin_lsn
-
-    def _journal_sync_commit_sharded(
-        self,
-        now: _dt.date,
-        moved: Mapping[str, int],
-        examined: int,
-        segments: list[tuple[str, int]],
-    ) -> None:
-        if self._replaying:
-            return
-        # Workers already fsynced their per-shard migration segments;
-        # this single record is what makes them all count.
-        self._journal.append(
-            "sync_commit_sharded",
-            {
-                "at": now.isoformat(),
-                "moved": dict(moved),
-                "examined": examined,
-                "segments": [
-                    {"file": filename, "records": records}
-                    for filename, records in segments
-                ],
-            },
-            sync=True,
-        )
-
-    def _journal_sync_failed_sharded(
-        self, exc: BaseException, segments: list[tuple[str, int]]
-    ) -> None:
-        if self._replaying or isinstance(exc, InjectedFault):
-            # A modeled crash writes nothing more; recovery skips the
-            # uncommitted sync and sweeps its orphaned segments.
-            return
-        if self._sync_begin_lsn is not None:
-            self._journal.append(
-                "abort",
-                {"undoes": self._sync_begin_lsn, "reason": str(exc)},
-                sync=True,
-            )
-            self._sync_begin_lsn = None
-        for filename, _ in segments:
-            try:
-                os.remove(os.path.join(self.path, filename))
-            except OSError:
-                pass
-
     def _journal_rebuild(self, now: _dt.date) -> None:
         if self._replaying:
             return
@@ -734,7 +678,6 @@ def open_durable(
             if snapshot is not None:
                 _restore_snapshot(store, snapshot)
             _replay(store, records, snapshot_lsn, report)
-            _sweep_orphan_segments(path, records)
             recover_span.set_attribute("replayed", report.replayed)
             recover_span.set_attribute("discarded", report.discarded)
     except RecoveryError:
@@ -883,7 +826,7 @@ def _replay(
                 report.aborted += 1
                 continue
             report.replayed += 1
-        elif record.op in ("sync_begin", "sync_begin_sharded"):
+        elif record.op == "sync_begin":
             open_sync = {
                 "at": _dt.date.fromisoformat(record.data["at"]),
                 "lsn": record.lsn,
@@ -897,18 +840,6 @@ def _replay(
                 raise RecoveryError(
                     f"sync_commit at lsn {record.lsn} without sync_begin"
                 )
-            _replay_sync(store, open_sync, record.data)
-            open_sync = None
-            report.replayed += 1
-        elif record.op == "sync_commit_sharded":
-            if open_sync is None:
-                raise RecoveryError(
-                    f"sync_commit_sharded at lsn {record.lsn} "
-                    "without sync_begin_sharded"
-                )
-            open_sync["migrations"] = _scan_shard_segments(
-                store.path, record.data
-            )
             _replay_sync(store, open_sync, record.data)
             open_sync = None
             report.replayed += 1
@@ -940,77 +871,6 @@ def _replay(
         # durable.  Leave the store at the pre-sync state; the caller
         # can re-run synchronize(at) idempotently.
         report.interrupted_sync = open_sync["at"]
-
-
-def _scan_shard_segments(path: str, commit: Mapping) -> list[dict]:
-    """Validate and collect a committed sharded sync's segment records.
-
-    Every segment the commit record names must exist, parse, end in a
-    ``shard_commit`` record, and carry exactly the advertised number of
-    ``shard_migrate`` records — the commit only became durable *after*
-    the workers fsynced their segments, so anything else is corruption.
-    The migrations are returned in global apply order
-    (``(cube_index, index)``), which is the serial examination order.
-    """
-    migrations: list[dict] = []
-    for segment in commit.get("segments", ()):
-        filename = segment["file"]
-        segment_path = os.path.join(path, filename)
-        if not os.path.exists(segment_path):
-            raise RecoveryError(
-                f"committed shard segment {filename!r} is missing"
-            )
-        records, _, _ = Journal.scan(segment_path)
-        if not records or records[-1].op != "shard_commit":
-            raise RecoveryError(
-                f"shard segment {filename!r} has no commit record"
-            )
-        body = [
-            record.data for record in records if record.op == "shard_migrate"
-        ]
-        expected = int(segment.get("records", -1))
-        stamped = int(records[-1].data.get("records", -1))
-        if len(body) != expected or len(body) != stamped:
-            raise RecoveryError(
-                f"shard segment {filename!r} holds {len(body)} migrations; "
-                f"expected {expected} (commit stamp {stamped})"
-            )
-        migrations.extend(body)
-    migrations.sort(key=lambda m: (m.get("cube_index", 0), m.get("index", 0)))
-    return migrations
-
-
-def _sweep_orphan_segments(
-    path: str, records: Iterable[JournalRecord]
-) -> None:
-    """Delete shard segments no committed sharded sync references.
-
-    A crash between segment writes and the ``sync_commit_sharded``
-    record leaves orphan ``journal.shard-*.jsonl`` files; they belong to
-    a synchronization that never happened and must not survive recovery.
-    Referenced segments are kept — an older snapshot may still need
-    them on a future recovery.
-    """
-    referenced = {
-        segment["file"]
-        for record in records
-        if record.op == "sync_commit_sharded"
-        for segment in record.data.get("segments", ())
-    }
-    try:
-        names = os.listdir(path)
-    except OSError:
-        return
-    for name in names:
-        if (
-            name.startswith("journal.shard-")
-            and name.endswith(".jsonl")
-            and name not in referenced
-        ):
-            try:
-                os.remove(os.path.join(path, name))
-            except OSError:
-                pass
 
 
 def _replay_sync(

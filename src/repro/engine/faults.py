@@ -54,14 +54,13 @@ FAILPOINTS: tuple[str, ...] = (
     "sync.migrate",  # mid synchronization, after some facts moved
 )
 
-#: Additional failpoints consulted only by the shard-parallel layer
-#: (:mod:`repro.parallel`).  Kept out of :data:`FAILPOINTS` because the
-#: serial crash-recovery reference script asserts it hits every entry of
-#: that catalogue; these sites only exist once sharding is in play.
+#: The failpoint of the sharded batch reducer
+#: (:func:`repro.parallel.reduce_mo_sharded`).  Kept out of
+#: :data:`FAILPOINTS` because the crash-recovery reference script
+#: asserts it hits every entry of that catalogue, and the durable store
+#: never reaches this site.
 SHARD_FAILPOINTS: tuple[str, ...] = (
     "shard.plan",  # after the shard plan is built, before any worker runs
-    "shard.segment.commit",  # before a worker's segment commit record
-    "shard.apply",  # mid merge, after some shard results were applied
 )
 
 #: Disk- and server-level failpoints for the serving layer's chaos

@@ -296,7 +296,6 @@ class SubcubeStore:
         now: _dt.date,
         *,
         incremental: bool = True,
-        executor: "object | None" = None,
     ) -> dict[str, int]:
         """Migrate facts so every cube holds exactly its cells at *now*.
 
@@ -315,19 +314,8 @@ class SubcubeStore:
         equivalent to a full rescan (property-tested).  The number of facts
         actually examined is exposed as the ``repro_sync_last_examined``
         gauge on :attr:`metrics`.
-
-        With an *executor* (a :class:`repro.parallel.ShardExecutor`),
-        fact classification fans out over worker shards and the result
-        is bit-for-bit the serial one — see
-        :func:`repro.parallel.sync.synchronize_sharded`.
         """
         self._check_writable("synchronize")
-        if executor is not None:
-            from ..parallel.sync import synchronize_sharded
-
-            return synchronize_sharded(
-                self, now, executor=executor, incremental=incremental
-            )
         if self.last_sync is not None and now < self.last_sync:
             raise EngineError(
                 f"synchronization time moved backwards ({self.last_sync} -> {now})"
@@ -715,27 +703,6 @@ class SubcubeStore:
 
     def _journal_sync_failed(self, exc: BaseException) -> None:
         """Called after a failed synchronization has been rolled back."""
-
-    def _journal_sync_begin_sharded(
-        self, now: _dt.date, incremental: bool
-    ) -> int | None:
-        """Called once per sharded synchronization, before any worker
-        runs; returns the begin record's LSN (``None`` = not durable)."""
-        return None
-
-    def _journal_sync_commit_sharded(
-        self,
-        now: _dt.date,
-        moved: Mapping[str, int],
-        examined: int,
-        segments: list[tuple[str, int]],
-    ) -> None:
-        """The sharded commit point, naming every worker segment."""
-
-    def _journal_sync_failed_sharded(
-        self, exc: BaseException, segments: list[tuple[str, int]]
-    ) -> None:
-        """Called after a failed sharded sync has been rolled back."""
 
     def _journal_rebuild(self, now: _dt.date) -> None:
         """Called after a successful specification rebuild."""

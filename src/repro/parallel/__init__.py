@@ -1,42 +1,36 @@
-"""Certificate-driven shard-parallel execution (ROADMAP item 1).
+"""Shard-parallel batch reduction, kept for the pipeline benchmark.
 
-The paper's Section 7 architecture stores one subcube per disjoint
-reduction action — a natural parallel unit — and the semantic analyzer's
-:class:`~repro.analysis.independence.IndependenceReport` certifies which
-of those units can never exchange a fact.  This package turns that into
-process-parallel execution:
+:func:`~repro.parallel.reduce.reduce_mo_sharded` computes ``reduce_mo``
+over cost-balanced worker shards and merges the result **bit-for-bit
+identical** to the serial kernel (property-tested).  It is not a
+production path: no CLI verb, store or service reaches it.  The
+benchmark's ``parallel.reduce`` layer times it beside the serial kernel
+and gates on their equality (see ``docs/performance.md``).
 
 * :mod:`.footprint` grounds every action's per-disjunct footprint (exact
-  day window × grounded value regions) at the evaluation time and routes
+  day window x grounded value regions) at the evaluation time and routes
   facts to action signatures;
 * :mod:`.partition` packs signature groups into cost-balanced shards
   (:func:`~repro.analysis.cost.estimate_costs` weights, LPT packing,
   contiguous time-range splits for oversized groups);
 * :mod:`.executor` fans work over ``concurrent.futures`` worker
-  processes (``fork`` start method) with a deterministic serial
-  fallback, controlled by ``REPRO_WORKERS`` / ``--workers``;
-* :mod:`.reduce` and :mod:`.sync` run reduction and NOW-advance
-  synchronization over shards and merge the results **bit-for-bit
-  identical** to the serial paths (property-tested);
+  processes (``fork`` start method) with a deterministic serial twin;
 * :mod:`.forksafe` resets module-level caches in forked children;
 * :mod:`.telemetry` reports per-plan counters (facts routed, pruned
   actions, cost skew, per-task wall time) into the metrics registry.
 
-Certificates and footprints are *performance* devices only: the merge
-step is correct for any partition of the facts, so an unprovable or
-skewed certificate degrades speed, never results.
+Footprints are a *performance* device only: the merge step is correct
+for any partition of the facts, so a skewed plan degrades speed, never
+results.
 """
 
-from .executor import ShardExecutor, resolve_workers
+from .executor import ShardExecutor
 from .partition import ShardPlan, plan_reduction_shards
 from .reduce import reduce_mo_sharded
-from .sync import synchronize_sharded
 
 __all__ = [
     "ShardExecutor",
     "ShardPlan",
     "plan_reduction_shards",
     "reduce_mo_sharded",
-    "resolve_workers",
-    "synchronize_sharded",
 ]

@@ -1,7 +1,7 @@
 """The shard executor: process fan-out with a deterministic serial twin.
 
 Workers are forked (``multiprocessing`` ``fork`` start method), so the
-task payload — the MO or store, bound actions, evaluation time — is
+task payload — the MO, bound actions, evaluation time — is
 inherited by reference instead of pickled: the parent publishes it in
 the module-global :data:`_PAYLOAD` immediately before creating the pool,
 and workers read it back.  Only the per-task descriptors (small tuples
@@ -13,6 +13,8 @@ Execution mode:
 * ``"process"`` — always use a ``ProcessPoolExecutor``;
 * ``"auto"`` (default) — processes when there is more than one worker,
   more than one CPU, and ``fork`` is available; serial otherwise.
+
+The worker count is always explicit; no environment variable sets it.
 
 Both modes run tasks through the same :func:`_invoke` wrapper, which
 converts exceptions into picklable markers — so error semantics (which
@@ -40,25 +42,6 @@ from .forksafe import install_fork_guard, pending_fork_violation
 _PAYLOAD: Any = None
 
 MODES = ("auto", "serial", "process")
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """The effective worker count: argument, else ``REPRO_WORKERS``, else 1.
-
-    Counts below one mean one.  A ``REPRO_WORKERS`` that is not an
-    integer raises :class:`ReproError` naming the value.
-    """
-    if workers is None:
-        raw = os.environ.get("REPRO_WORKERS", "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ReproError(
-                f"REPRO_WORKERS must be an integer, got {raw!r}"
-            ) from None
-    return max(1, int(workers))
 
 
 def _invoke(fn: Callable[[Any, Any], Any], task: Any) -> tuple:
@@ -144,12 +127,12 @@ class _ProcessSession(_Session):
 class ShardExecutor:
     """Fan shard tasks out over worker processes (or run them inline)."""
 
-    def __init__(self, workers: int | None = None, mode: str = "auto") -> None:
+    def __init__(self, workers: int, mode: str = "auto") -> None:
         if mode not in MODES:
             raise ReproError(
                 f"unknown executor mode {mode!r}; expected one of {MODES}"
             )
-        self.workers = resolve_workers(workers)
+        self.workers = max(1, int(workers))
         self.mode = mode
 
     @property

@@ -15,17 +15,14 @@ setting — and the resulting units are packed onto shards with the LPT
 (longest processing time first) heuristic.
 
 Shard fact lists are kept in serial fact order, which is what lets the
-merge rebuild the serial result bit-for-bit.  The
-:class:`~repro.analysis.independence.IndependenceReport` is attached as
-certificate metadata; correctness never depends on it (the merge is
-correct for any partition), it documents *why* the plan's shards are
-expected not to contend.
+merge rebuild the serial result bit-for-bit.  The merge is correct for
+any partition, so the plan only ever affects speed.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..analysis.cost import estimate_costs
@@ -62,9 +59,6 @@ class ShardPlan:
     skew: float
     #: Distinct action signatures observed while routing.
     signatures: int
-    #: Independence certificates backing the plan, when available.
-    certificates: dict | None = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def pruned_actions(self) -> int:
@@ -99,8 +93,6 @@ def plan_reduction_shards(
     actions: Sequence[Action],
     now: _dt.date,
     workers: int,
-    *,
-    certificates: dict | None = None,
 ) -> ShardPlan:
     """Partition *mo*'s facts into *workers* cost-balanced shards.
 
@@ -183,5 +175,4 @@ def plan_reduction_shards(
         n_facts=n_facts,
         skew=skew,
         signatures=len(groups),
-        certificates=certificates,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import time
-from typing import Any, Iterable
+from typing import Iterable
 
 from ..core.mo import MultidimensionalObject
 from ..engine.faults import PASSIVE, FaultInjector
@@ -81,13 +81,7 @@ def reduce_mo_sharded(
     with trace.span(
         "reduce.sharded", backend=backend, workers=executor.workers
     ) as span:
-        plan = plan_reduction_shards(
-            mo,
-            actions,
-            now,
-            executor.workers,
-            certificates=_plan_certificates(specification),
-        )
+        plan = plan_reduction_shards(mo, actions, now, executor.workers)
         faults.hit("shard.plan")
         payload = {
             "mo": mo,
@@ -144,22 +138,3 @@ def reduce_mo_sharded(
     )
     return reduced
 
-
-def _plan_certificates(specification: Any) -> dict | None:
-    """Independence certificates for the plan metadata (best effort)."""
-    if not isinstance(specification, ReductionSpecification):
-        return None
-    try:
-        from ..analysis.independence import independence_report
-        from ..engine.disjoint import disjoint_actions
-
-        cubes = disjoint_actions(specification)
-        report = independence_report(
-            cubes,
-            {action.name: action for action in specification.actions},
-            specification.dimensions,
-            specification.prover_config,
-        )
-        return report.to_dict()
-    except Exception:
-        return None

@@ -1,9 +1,9 @@
 """Shard-execution metrics (catalogued in docs/observability.md).
 
-One :func:`record_shard_plan` call per sharded reduce or synchronize,
-labelled ``op="reduce"`` / ``op="sync"``: shard and worker counts, facts
-routed, the action evaluations pruned by signature routing, the plan's
-cost skew, and every task's wall time.
+One :func:`record_shard_plan` call per sharded reduce, labelled
+``op="reduce"``: shard and worker counts, facts routed, the action
+evaluations pruned by signature routing, the plan's cost skew, and every
+task's wall time.
 """
 
 from __future__ import annotations

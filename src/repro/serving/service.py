@@ -6,7 +6,7 @@ A :class:`ServingService` ties the layers together:
   current version, pinned for the duration of the query — concurrent
   refreshes never perturb an in-flight read;
 * :meth:`ServingService.refresh` advances the live store (synchronize,
-  optionally sharded, optionally durable-snapshot) and publishes the
+  then a durable snapshot when the store is durable) and publishes the
   next version — all behind a :class:`~repro.serving.breaker.CircuitBreaker`;
 * any refresh failure (injected ENOSPC on the journal, a torn-write
   failpoint in the durable snapshot, a crashed sync) leaves the
@@ -48,7 +48,6 @@ class ServingService:
         *,
         breaker: CircuitBreaker | None = None,
         faults: FaultInjector | None = None,
-        executor: "object | None" = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         self.store = store
@@ -67,7 +66,6 @@ class ServingService:
                 **({"clock": clock} if clock is not None else {}),
             )
         )
-        self._executor = executor
         self._last_refresh_error: str | None = None
         self.snapshots.publish(store)
 
@@ -130,7 +128,7 @@ class ServingService:
             return None
         try:
             self.faults.hit("sync.slow")
-            self.store.synchronize(now, executor=self._executor)
+            self.store.synchronize(now)
             durable_snapshot = getattr(self.store, "snapshot", None)
             if callable(durable_snapshot):
                 durable_snapshot()

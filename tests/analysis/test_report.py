@@ -26,7 +26,6 @@ class TestAnalyzeSpecification:
         assert len(analysis.matrix.pairs()) == 1
         assert set(analysis.reach.live) == {"a1", "a2"}
         assert len(analysis.costs) == 2
-        assert analysis.independence is not None
 
     def test_to_dict_is_json_serializable(self, paper_spec):
         payload = analyze_specification(paper_spec).to_dict()
@@ -40,7 +39,6 @@ class TestAnalyzeSpecification:
             "matrix",
             "reachability",
             "costs",
-            "independence",
         }
         json.dumps(payload)  # must not raise
 
@@ -49,14 +47,13 @@ class TestAnalyzeSpecification:
         assert "Action-relationship matrix:" in text
         assert "Reachability:" in text
         assert "Cost estimates" in text
-        assert "Independence certificate:" in text
+        assert "Independence certificate:" not in text
 
 
 class TestAnalyzeActions:
     def test_empty_action_list(self, paper_mo):
         analysis = analyze_actions([], paper_mo.dimensions, PROVER)
         assert analysis.actions == ()
-        assert analysis.independence is None
         assert "(fewer than two actions)" in analysis.render_text()
 
     def test_reach_findings_rendered(self, paper_mo):

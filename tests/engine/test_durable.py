@@ -471,6 +471,48 @@ class TestInterruptedSync:
         clean.close()
 
 
+
+class TestRetiredJournalOps:
+    """Records of the retired sharded sync fail recovery loudly."""
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [("sync_begin_sharded", {"at": "2000-04-05", "incremental": True})],
+            [
+                ("sync_begin", {"at": "2000-04-05", "incremental": True}),
+                (
+                    "sync_commit_sharded",
+                    {
+                        "at": "2000-04-05",
+                        "moved": {},
+                        "examined": 0,
+                        "segments": [],
+                    },
+                ),
+            ],
+        ],
+        ids=["sync_begin_sharded", "sync_commit_sharded"],
+    )
+    def test_sharded_sync_record_is_an_unknown_op(
+        self, tmp_path, mo, spec, records
+    ):
+        store = make_store(tmp_path / "d", mo, spec, fsync=False)
+        store.load(facts_of(mo))
+        next_lsn = store.journal_lsn + 1
+        store.close()
+        journal = Journal(
+            str(tmp_path / "d" / JOURNAL_FILE), fsync=False, next_lsn=next_lsn
+        )
+        for op, data in records:
+            lsn = journal.append(op, data, sync=True)
+        journal.close()
+        with pytest.raises(
+            RecoveryError, match=f"unknown journal op '{op}' at lsn {lsn}"
+        ):
+            recover(tmp_path / "d")
+
+
 class TestRebuild:
     def test_rebuild_survives_recovery(self, tmp_path, mo, spec):
         store = make_store(tmp_path / "d", mo, spec)

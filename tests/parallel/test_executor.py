@@ -1,4 +1,4 @@
-"""The shard executor: worker resolution, modes, and error semantics.
+"""The shard executor: worker count, modes, and error semantics.
 
 Serial and process sessions run tasks through the same ``_invoke``
 wrapper, so results, per-task timings, and — critically — which
@@ -13,7 +13,7 @@ import pytest
 
 from repro.engine.faults import InjectedFault
 from repro.errors import EngineError, ReproError
-from repro.parallel import ShardExecutor, resolve_workers
+from repro.parallel import ShardExecutor
 from repro.parallel import executor as executor_module
 
 HAVE_FORK = "fork" in mp.get_all_start_methods()
@@ -41,18 +41,12 @@ def _fault_on_two(payload, task):
     return task
 
 
-def test_resolve_workers_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    assert resolve_workers() == 1
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert resolve_workers() == 5
-    assert resolve_workers(2) == 2  # the explicit argument wins
-    assert resolve_workers(0) == 1  # floored at one
-    monkeypatch.setenv("REPRO_WORKERS", "abc")
-    assert resolve_workers(2) == 2  # never parsed when the argument wins
-    with pytest.raises(ReproError, match="REPRO_WORKERS.*'abc'"):
-        resolve_workers()
+def test_worker_count_is_explicit_and_floored(monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "abc")  # never read
+    assert ShardExecutor(workers=3).workers == 3
+    assert ShardExecutor(workers=1).workers == 1
+    assert ShardExecutor(workers=0).workers == 1  # floored at one
+    assert ShardExecutor(workers=-2).workers == 1
 
 
 def test_unknown_mode_is_rejected():

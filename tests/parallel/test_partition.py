@@ -12,13 +12,11 @@ import datetime as dt
 
 import pytest
 
-from repro.analysis.independence import independence_report
 from repro.core.builder import (
     MOBuilder,
     dimension_from_rows,
     dimension_type_from_chains,
 )
-from repro.engine.disjoint import disjoint_actions
 from repro.experiments.paper_example import (
     SNAPSHOT_TIMES,
     build_paper_mo,
@@ -29,7 +27,6 @@ from repro.parallel.partition import (
     action_weights,
     plan_reduction_shards,
 )
-from repro.parallel.reduce import _plan_certificates
 from repro.timedim.builder import build_sparse_time_dimension
 from repro.timedim.calendar import day_value
 
@@ -138,41 +135,3 @@ def test_skewed_giant_group_is_split_and_balanced():
         1 + 1e-9
     )
 
-
-def test_independence_report_covers_skewed_spec():
-    mo = skewed_mo()
-    spec = spec_for(mo, detail_months=2, coarse_quarters=8)
-    cubes = disjoint_actions(spec)
-    report = independence_report(
-        cubes,
-        {action.name: action for action in spec.actions},
-        spec.dimensions,
-        spec.prover_config,
-    )
-    names = [cube.name for cube in cubes]
-    assert list(report.cubes) == names
-    assert len(report.pairs) == len(names) * (len(names) - 1) // 2
-    for pair in report.pairs:
-        assert isinstance(pair.independent, bool)
-    # Every cube lands in exactly one shard group.
-    grouped = [name for group in report.shard_groups for name in group]
-    assert sorted(grouped) == sorted(names)
-
-
-def test_certificates_travel_with_the_plan():
-    certificates = _plan_certificates(SPEC)
-    assert certificates is not None
-    reference = independence_report(
-        disjoint_actions(SPEC),
-        {action.name: action for action in SPEC.actions},
-        SPEC.dimensions,
-        SPEC.prover_config,
-    )
-    assert certificates["cubes"] == list(reference.cubes)
-    assert certificates["shard_groups"] == [
-        list(group) for group in reference.shard_groups
-    ]
-    plan = plan_reduction_shards(
-        MO, list(SPEC.actions), NOW, 2, certificates=certificates
-    )
-    assert plan.certificates is certificates

@@ -8,7 +8,10 @@ Three families of generated cases:
   materialized bottom cells, at every prover-sampled evaluation time.
   ``UNKNOWN`` makes no claim, so only definite verdicts can fail.
   At the default settings this checks 70 generated triples = 210
-  action pairs per run.
+  action pairs per run.  The masks come from
+  :class:`~tests.properties.groundtruth.GroundTruth` (one interpretive
+  atom verdict per distinct value), which is itself checked against the
+  per-cell ``cell_satisfies`` masks on NOT/OR/AND compositions.
 
 * **Reachability soundness** — an action the analyzer declares
   unsatisfiable admits zero facts on all three reduction paths
@@ -34,12 +37,14 @@ from repro.query.compare import Approach
 from repro.reduction.reducer import BACKENDS, reduce_mo
 from repro.reduction.telemetry import REDUCE_ADMITTED
 from repro.spec.action import Action
+from repro.spec.ast import And, Not, Or
 from repro.spec.predicate import cell_satisfies
 from repro.spec.ranges import profiles_of
 from repro.spec.specification import ReductionSpecification
 from repro.sql.loader import SqlWarehouse
 from repro.sql.reducer_sql import reduce_warehouse
 
+from .groundtruth import GroundTruth
 from .strategies import URL_ROWS, evaluation_times, mos_with_specs, small_mos
 
 #: A short-horizon prover keeps each generated case fast; soundness must
@@ -128,17 +133,6 @@ def bottom_cells(mo):
     ]
 
 
-def admission_mask(mo, action, at):
-    """The exact set of bottom cells the action's predicate admits."""
-    return frozenset(
-        index
-        for index, cell in enumerate(bottom_cells(mo))
-        if cell_satisfies(
-            mo.dimensions, cell, action.predicate, at, Approach.CONSERVATIVE
-        )
-    )
-
-
 def pair_times(first, second, config):
     """The evaluation times the prover's verdicts quantify over."""
     profiles = [*profiles_of(first), *profiles_of(second)]
@@ -154,6 +148,7 @@ class TestMatrixSoundness:
         mo = data.draw(small_mos())
         actions = data.draw(analyzer_actions(mo))
         matrix = relationship_matrix(actions, mo.dimensions, PROVER)
+        truth = GroundTruth(mo.dimensions, bottom_cells(mo))
         by_name = {action.name: action for action in actions}
         for relation in matrix.pairs():
             first = by_name[relation.first]
@@ -163,8 +158,8 @@ class TestMatrixSoundness:
                 times = [*times, relation.witness.at]
             overlap_seen = False
             for at in times:
-                mask_a = admission_mask(mo, first, at)
-                mask_b = admission_mask(mo, second, at)
+                mask_a = truth.mask(first.predicate, at)
+                mask_b = truth.mask(second.predicate, at)
                 if mask_a & mask_b:
                     overlap_seen = True
                 if relation.verdict is Verdict.DISJOINT:
@@ -192,6 +187,41 @@ class TestMatrixSoundness:
                     f"{relation.first} vs {relation.second} declared "
                     "OVERLAPPING but no sampled time shows a shared cell"
                 )
+
+
+class TestGroundTruth:
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_value_masks_equal_per_cell_masks(self, data):
+        mo = data.draw(small_mos())
+        first, second = data.draw(analyzer_actions(mo, count=2))
+        p, q = first.predicate, second.predicate
+        predicates = [p, Not(p), Or((Not(p), q)), And((p, Not(q))), Or((p, q))]
+        times = data.draw(
+            st.lists(evaluation_times(), min_size=1, max_size=3)
+        )
+        # Coarse cells too: only there do the two approaches differ.
+        cells = bottom_cells(mo) + [
+            cell
+            for time_category, url_category in GRANULARITIES
+            for cell in cells_at(
+                mo, {"Time": time_category, "URL": url_category}
+            )
+        ]
+        truth = GroundTruth(mo.dimensions, cells)
+        for at in times:
+            for approach in (Approach.CONSERVATIVE, Approach.LIBERAL):
+                for predicate in predicates:
+                    per_cell = frozenset(
+                        index
+                        for index, cell in enumerate(cells)
+                        if cell_satisfies(
+                            mo.dimensions, cell, predicate, at, approach
+                        )
+                    )
+                    assert truth.mask(predicate, at, approach) == per_cell, (
+                        f"{predicate} at {at} under {approach}"
+                    )
 
 
 def registries_after_reduce(mo, specification, at):

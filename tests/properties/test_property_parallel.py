@@ -8,19 +8,15 @@ SQLite backend's fact ids are cell-scoped, so parity with it is checked
 at the observable (cell -> measures) level, like the serial SQL suite.
 """
 
-import datetime as dt
-
 from hypothesis import given, settings
 
-from repro.engine.store import SubcubeStore
 from repro.parallel import ShardExecutor, reduce_mo_sharded
 from repro.reduction import BACKENDS, reduce_mo
 from repro.sql.loader import SqlWarehouse
 from repro.sql.reducer_sql import reduce_warehouse
 
-from ..engine.durableutil import fingerprint
 from .strategies import evaluation_times, mos_with_specs
-from .test_property_backends import assert_identical, load_all, observable
+from .test_property_backends import assert_identical, observable
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -56,20 +52,3 @@ def test_sharded_reduction_matches_sql_observably(pair, at):
         == sql_view
     )
 
-
-@SETTINGS
-@given(pair=mos_with_specs(), at=evaluation_times())
-def test_sharded_sync_trajectory_is_bit_for_bit(pair, at):
-    mo, spec = pair
-    for workers in WORKER_COUNTS:
-        serial = SubcubeStore(mo, spec)
-        sharded = SubcubeStore(mo, spec)
-        load_all(serial, mo)
-        load_all(sharded, mo)
-        executor = ShardExecutor(workers=workers, mode="serial")
-        for step in (0, 40, 200):
-            current = at + dt.timedelta(days=step)
-            expected = serial.synchronize(current)
-            actual = sharded.synchronize(current, executor=executor)
-            assert actual == expected
-            assert fingerprint(sharded) == fingerprint(serial)
