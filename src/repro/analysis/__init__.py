@@ -15,10 +15,12 @@ the domain sit three analyses:
 * :func:`repro.analysis.cost.estimate_costs` — static selectivity and
   output-size estimates from hierarchy cell cardinalities.
 
-:func:`repro.analysis.report.analyze_specification` bundles them into one
-:class:`~repro.analysis.report.SpecAnalysis` consumed by the ``SDR2xx``
-lint rules, the ``repro analyze`` CLI command, and the disjoint-predicate
-pruning in :mod:`repro.engine.disjoint`.
+The ``SDR2xx`` lint rules read the matrix and the reachability through
+:class:`repro.lint.engine.LintContext`, which computes each once per run
+and bundles them with the cost estimates into the
+:class:`~repro.analysis.report.SpecAnalysis` report that ``repro check``
+renders.  The box domain also backs the disjoint-predicate pruning in
+:mod:`repro.engine.disjoint`.
 """
 
 from .boxes import (
@@ -38,12 +40,7 @@ from .matrix import (
 )
 from .pruning import negation_prunable
 from .reach import ReachabilityResult, reachability
-from .report import (
-    ANALYSIS_SCHEMA,
-    SpecAnalysis,
-    analyze_actions,
-    analyze_specification,
-)
+from .report import ANALYSIS_SCHEMA, SpecAnalysis
 
 __all__ = [
     "ANALYSIS_SCHEMA",
@@ -54,8 +51,6 @@ __all__ = [
     "RelationshipMatrix",
     "SpecAnalysis",
     "Verdict",
-    "analyze_actions",
-    "analyze_specification",
     "box_is_exact",
     "boxes_of",
     "estimate_costs",

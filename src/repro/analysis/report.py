@@ -1,26 +1,19 @@
-"""The bundled analysis result consumed by lint, the CLI, and the docs.
+"""The bundled analysis report rendered by ``repro check``.
 
-:func:`analyze_actions` / :func:`analyze_specification` run the
-relationship matrix, the reachability pass and the cost estimator, and
-bundle them into one :class:`SpecAnalysis` with stable ``to_dict`` /
-``render_text`` shapes.
+:class:`SpecAnalysis` bundles the relationship matrix, the reachability
+pass and the cost estimates with stable ``to_dict`` / ``render_text``
+shapes.  :meth:`repro.lint.engine.LintContext.analysis` builds it from
+the same memoised matrix and reachability the lint rules read.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..checks.prover import ProverConfig
-from ..core.dimension import Dimension
-from ..spec.action import Action
-from .cost import ActionCost, estimate_costs
-from .matrix import RelationshipMatrix, relationship_matrix
-from .reach import ReachabilityResult, reachability
-
-if TYPE_CHECKING:
-    from ..spec.specification import ReductionSpecification
+from .cost import ActionCost
+from .matrix import RelationshipMatrix
+from .reach import ReachabilityResult
 
 #: Stable schema tag of the JSON rendering.
 ANALYSIS_SCHEMA = "repro-analysis/2"
@@ -114,35 +107,3 @@ class SpecAnalysis:
             )
         return "\n".join(lines) + "\n"
 
-
-def analyze_actions(
-    actions: Sequence[Action],
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
-) -> SpecAnalysis:
-    """Run every analysis over already-bound actions."""
-    config = config or ProverConfig()
-    matrix = relationship_matrix(actions, dimensions, config)
-    reach = reachability(actions, dimensions, config)
-    costs = estimate_costs(actions, dimensions, config)
-    return SpecAnalysis(
-        actions=tuple(a.name for a in actions),
-        matrix=matrix,
-        reach=reach,
-        costs=costs,
-        reference=config.reference,
-        horizon_years=config.horizon_years,
-    )
-
-
-def analyze_specification(
-    specification: ReductionSpecification,
-    config: ProverConfig | None = None,
-) -> SpecAnalysis:
-    """Analyze a bound :class:`ReductionSpecification` with its own
-    dimensions and prover configuration."""
-    return analyze_actions(
-        list(specification),
-        specification.dimensions,
-        config or specification.prover_config,
-    )

@@ -10,20 +10,14 @@ Commands
     Run the quickstart scenario: build the paper's example MO, install
     ``{a1, a2}``, and print the Figure 3 snapshots.
 
-``check SPEC_FILE --mo MO_FILE [--format text|json]``
-    Validate a specification file (NonCrossing + Growing) against the
-    dimensions of an MO document; exit status 1 on violations.
-
-``lint SPEC_FILE [SPEC_FILE ...] --mo MO_FILE [--format text|json|sarif]``
-    Run the full static diagnostics pass (all ``SDR`` rules) over
-    specification files; ``--select``/``--ignore`` filter rule codes and
-    exit status 1 signals remaining error-level findings.
-
-``analyze SPEC_FILE --mo MO_FILE [--format text|json|sarif]``
-    Run the semantic analyzer (:mod:`repro.analysis`) over a
-    specification: the action-relationship matrix, reachability, static
-    cost estimates, plus the ``SDR2xx`` analyzer findings.  Exit status
-    1 signals findings.
+``check SPEC_FILE [SPEC_FILE ...] --mo MO_FILE [--format text|json|sarif]``
+    Parse, bind and analyse specification files once against the
+    dimensions of an MO document: every ``SDR`` rule (NonCrossing and
+    Growing are ``SDR102``/``SDR103``), then the semantic analysis of
+    :mod:`repro.analysis` (action-relationship matrix, reachability,
+    static cost estimates).  ``--select``/``--ignore`` filter the rule
+    codes reported; exit status 1 signals remaining error-level
+    findings.
 
 ``reduce MO_FILE SPEC_FILE --at YYYY-MM-DD [-o OUT_FILE] [--stats]``
     Apply a reduction specification to a stored MO at a given date and
@@ -143,32 +137,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("demo", help="run the paper's running example")
 
-    check = sub.add_parser("check", help="validate a specification file")
-    check.add_argument("spec_file")
+    check = sub.add_parser(
+        "check",
+        help="lint and analyse specification files (NonCrossing, Growing "
+        "and every SDR rule)",
+    )
+    check.add_argument("spec_files", nargs="+")
     check.add_argument("--mo", required=True, dest="mo_file")
     check.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-
-    lint = sub.add_parser(
-        "lint", help="static diagnostics over specification files"
-    )
-    lint.add_argument("spec_files", nargs="+")
-    lint.add_argument("--mo", required=True, dest="mo_file")
-    lint.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text"
     )
-    lint.add_argument(
+    check.add_argument(
         "--select",
         action="append",
         help="only report these rule-code prefixes (comma-separable)",
     )
-    lint.add_argument(
+    check.add_argument(
         "--ignore",
         action="append",
         help="suppress these rule-code prefixes (comma-separable)",
     )
-    lint.add_argument("-o", "--output", help="write the report to a file")
+    check.add_argument("-o", "--output", help="write the report to a file")
 
     selfcheck = sub.add_parser(
         "selfcheck",
@@ -203,16 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck.add_argument(
         "-o", "--output", help="write the report to a file"
     )
-
-    analyze = sub.add_parser(
-        "analyze", help="semantic analysis of a specification"
-    )
-    analyze.add_argument("spec_file")
-    analyze.add_argument("--mo", required=True, dest="mo_file")
-    analyze.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    analyze.add_argument("-o", "--output", help="write the report to a file")
 
     reduce_cmd = sub.add_parser("reduce", help="reduce a stored MO")
     reduce_cmd.add_argument("mo_file")
@@ -361,14 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dead-letter JSONL file (implies --on-error dead-letter)",
     )
     load.add_argument(
-        "--queue-size",
-        type=int,
-        default=None,
-        dest="queue_size",
-        help="parse and commit in a two-stage pipeline through a "
-        "bounded queue of this many rows (backpressure)",
-    )
-    load.add_argument(
         "--no-fsync",
         action="store_true",
         dest="no_fsync",
@@ -464,10 +435,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _demo()
         if arguments.command == "check":
             return _check(
-                arguments.spec_file, arguments.mo_file, arguments.format
-            )
-        if arguments.command == "lint":
-            return _lint(
                 arguments.spec_files,
                 arguments.mo_file,
                 arguments.format,
@@ -482,13 +449,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 arguments.select,
                 arguments.ignore,
                 arguments.fail_on,
-                arguments.output,
-            )
-        if arguments.command == "analyze":
-            return _analyze(
-                arguments.spec_file,
-                arguments.mo_file,
-                arguments.format,
                 arguments.output,
             )
         if arguments.command == "reduce":
@@ -533,7 +493,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 arguments.flush_ms,
                 arguments.on_error,
                 arguments.dead_letter_path,
-                arguments.queue_size,
                 not arguments.no_fsync,
                 arguments.fail_under,
                 *_stats_choice(arguments),
@@ -557,10 +516,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if arguments.command == "audit":
             return _audit(arguments.durable_path, arguments.json)
         return _explain(arguments.mo_file, arguments.spec_file, arguments.at)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (
+        ReproError,
+        OSError,
+        json.JSONDecodeError,
+        UnicodeDecodeError,
+    ) as exc:
+        # Unreadable or malformed input files are usage errors, not
+        # tracebacks with exit status 1 (which means "findings").
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -622,55 +585,22 @@ def _demo() -> int:
     return 0
 
 
-def _check(spec_file: str, mo_file: str, format: str = "text") -> int:
-    from .io import load_mo, load_specification
-    from .lint import lint_specification, render
-
-    with open(mo_file) as stream:
-        mo = load_mo(stream)
-    with open(spec_file) as stream:
-        specification = load_specification(
-            stream, mo.schema, mo.dimensions, validate=False
-        )
-    # The soundness gate re-expressed as lint rules: SDR102 is one
-    # diagnostic per check_noncrossing violation, SDR103 one per
-    # check_growing violation, computed by the same checker functions
-    # ReductionSpecification.violations() calls.
-    result = lint_specification(specification).filter(
-        select="SDR102,SDR103"
-    )
-    if format == "json":
-        print(render(result, "json"))
-        return 1 if result.has_errors() else 0
-    if result.has_errors():
-        print(
-            f"specification is NOT sound "
-            f"({len(result.errors)} violations):"
-        )
-        for diagnostic in result.errors:
-            print(f"  - {diagnostic.message}")
-        return 1
-    print(
-        f"specification is sound: {len(specification)} actions, "
-        "NonCrossing and Growing hold"
-    )
-    return 0
-
-
-def _lint(
+def _check(
     spec_files: list[str],
     mo_file: str,
-    format: str,
-    select: list[str] | None,
-    ignore: list[str] | None,
-    output: str | None,
+    format: str = "text",
+    select: list[str] | None = None,
+    ignore: list[str] | None = None,
+    output: str | None = None,
 ) -> int:
-    from .io import atomic_write, mo_from_dict
+    from .io import mo_from_dict
     from .lint import (
         LintResult,
+        json_report,
         lint_document_measures,
-        lint_paths,
+        lint_sources,
         render,
+        sarif_log,
     )
 
     with open(mo_file) as stream:
@@ -681,25 +611,42 @@ def _lint(
     except ReproError as exc:
         # The MO document itself is unusable (e.g. a non-distributive
         # default aggregate): report what the document-level rules saw.
-        result = LintResult.of(measure_diagnostics)
-        print(render(result.filter(select, ignore), format))
+        result = LintResult.of(measure_diagnostics).filter(select, ignore)
+        _emit(render(result, format), output)
         print(f"error: cannot load MO document: {exc}", file=sys.stderr)
         return 2
-    result = lint_paths(
-        spec_files,
-        mo.schema,
-        mo.dimensions,
-        document=document,
-        mo_file=mo_file,
-    )
+    sources = []
+    for path in spec_files:
+        with open(path, encoding="utf-8") as stream:
+            sources.append((path, stream.read()))
+    found, ctx = lint_sources(sources, mo.schema, mo.dimensions)
+    result = LintResult.of([*found, *measure_diagnostics])
     result = result.filter(select, ignore)
-    report = render(result, format)
+    analysis = ctx.analysis()
+    if format == "json":
+        payload = {**json_report(result), "analysis": analysis.to_dict()}
+        report = json.dumps(payload, indent=2, sort_keys=True)
+    elif format == "sarif":
+        log = sarif_log(result)
+        log["runs"][0]["properties"] = {"analysis": analysis.to_dict()}
+        report = json.dumps(log, indent=2, sort_keys=True)
+    else:
+        report = "\n\n".join(
+            [render(result, "text"), analysis.render_text().rstrip("\n")]
+        )
+    _emit(report, output)
+    return 1 if result.has_errors() else 0
+
+
+def _emit(report: str, output: str | None) -> None:
+    """Write *report* to the ``-o`` file, or print it."""
+    from .io import atomic_write
+
     if output:
         with atomic_write(output) as stream:
             stream.write(report + "\n")
     else:
         print(report)
-    return 1 if result.has_errors() else 0
 
 
 def _selfcheck(
@@ -713,7 +660,6 @@ def _selfcheck(
     from pathlib import Path
 
     from .devlint import RULES, run_selfcheck
-    from .io import atomic_write
     from .lint import render
 
     resolved = [Path(p) for p in (paths or ["src"])]
@@ -731,66 +677,10 @@ def _selfcheck(
         catalog=RULES,
         information_uri="https://example.invalid/repro/docs/selfcheck",
     )
-    if output:
-        with atomic_write(output) as stream:
-            stream.write(report + "\n")
-    else:
-        print(report)
+    _emit(report, output)
     if fail_on:
         return 1 if result.filter(select=fail_on).has_errors() else 0
     return 1 if result.has_errors() else 0
-
-
-def _analyze(
-    spec_file: str,
-    mo_file: str,
-    format: str,
-    output: str | None,
-) -> int:
-    from .analysis import analyze_actions
-    from .io import atomic_write, load_mo
-    from .lint import bind_sources, lint_paths, sarif_log
-
-    with open(mo_file) as stream:
-        mo = load_mo(stream)
-    with open(spec_file) as stream:
-        text = stream.read()
-    # The lint engine's error-tolerant parser: unusable entries become
-    # SDR0xx findings in `repro lint`, the bound remainder is analyzed.
-    ctx, _ = bind_sources([(spec_file, text)], mo.schema, mo.dimensions)
-    analysis = analyze_actions(
-        [entry.action for entry in ctx.bound], mo.dimensions, ctx.prover
-    )
-    findings = lint_paths(
-        [spec_file], mo.schema, mo.dimensions, mo_file=mo_file
-    ).filter(select="SDR2")
-    if format == "sarif":
-        log = sarif_log(findings)
-        log["runs"][0].setdefault("properties", {})[
-            "analysis"
-        ] = analysis.to_dict()
-        report = json.dumps(log, indent=2, sort_keys=True)
-    elif format == "json":
-        report = json.dumps(
-            {
-                "analysis": analysis.to_dict(),
-                "findings": [d.to_dict() for d in findings],
-            },
-            indent=1,
-            sort_keys=True,
-        )
-    else:
-        lines = [analysis.render_text()]
-        if findings.diagnostics:
-            lines.append("Analyzer findings:")
-            lines.extend(f"  {d.format()}" for d in findings)
-        report = "\n".join(lines)
-    if output:
-        with atomic_write(output) as stream:
-            stream.write(report + "\n")
-    else:
-        print(report)
-    return 1 if findings.diagnostics else 0
 
 
 def _reduce(
@@ -1003,7 +893,6 @@ def _load(
     flush_ms: float | None,
     on_error: str,
     dead_letter_path: str | None,
-    queue_size: int | None,
     fsync: bool,
     fail_under: float | None,
     stats: bool = False,
@@ -1067,12 +956,7 @@ def _load(
     )
     started = time.perf_counter()
     try:
-        if queue_size is not None:
-            tally = loader.ingest_pipelined(
-                rows, policy=policy, queue_size=queue_size
-            )
-        else:
-            tally = loader.ingest(rows, policy=policy)
+        tally = loader.ingest(rows, policy=policy)
     finally:
         stream.close()
         if dead_letter is not None:

@@ -50,17 +50,13 @@ RECOVERY_ABORTED = "repro_recovery_aborted_transactions"
 # Streaming ingest (repro.ingest) -----------------------------------------
 # Incremented per batch/stream (never per fact), labelled by outcome:
 # ``committed`` facts reached the store, ``skipped``/``dead_lettered``
-# fell to the error policy, ``rejected`` refused admission at the queue.
+# fell to the error policy.
 INGEST_FACTS = "repro_ingest_facts_total"
 #: Group commits, labelled by what triggered the flush
 #: (``size`` | ``timer`` | ``final``).
 INGEST_BATCHES = "repro_ingest_batches_total"
 #: Wall-clock seconds per group commit (journal record + inserts).
 INGEST_COMMIT_SECONDS = "repro_ingest_commit_seconds"
-#: Rows waiting in the bounded ingest queue (sampled at stall/drain).
-INGEST_QUEUE_DEPTH = "repro_ingest_queue_depth"
-#: Times a producer blocked on a full queue (backpressure engaged).
-INGEST_STALLS = "repro_ingest_producer_stalls_total"
 
 # Disjoint-predicate construction -----------------------------------------
 #: Negation terms considered per cube, labelled kept/pruned.

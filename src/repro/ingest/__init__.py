@@ -1,4 +1,4 @@
-"""Streaming bulk ingest: batched append, group commit, backpressure.
+"""Streaming bulk ingest: batched append and group commit.
 
 The producer side of the serving stack — the fast path for getting
 facts *into* the warehouse the paper's reduction machinery assumes they
@@ -11,17 +11,13 @@ are already in:
   Python objects on the hot path), validated by the same
   :class:`~repro.core.rowcheck.RowValidator` single-fact insert uses;
 * :mod:`repro.ingest.commit` — :class:`StreamingLoader`, group commit:
-  one fsync'd journal record per batch instead of per fact;
-* :mod:`repro.ingest.pressure` — :class:`BoundedBuffer`, bounded-queue
-  backpressure so a slow disk stalls producers instead of ballooning
-  memory.
+  one fsync'd journal record per batch instead of per fact.
 
 See ``docs/ingest.md`` for formats, semantics, and knobs.
 """
 
 from .batch import FactBatchBuffer
 from .commit import StreamingLoader
-from .pressure import BoundedBuffer
 from .sources import (
     BadRow,
     DeadLetterFile,
@@ -34,7 +30,6 @@ from .sources import (
 
 __all__ = [
     "BadRow",
-    "BoundedBuffer",
     "DeadLetterFile",
     "ErrorPolicy",
     "FactBatchBuffer",

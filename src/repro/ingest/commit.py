@@ -33,17 +33,13 @@ from ..engine.telemetry import (
 )
 from ..errors import DimensionError, FactError, IngestError, MeasureError
 from .batch import FactBatchBuffer
-from .pressure import BoundedBuffer
 from .sources import BadRow, ErrorPolicy, SourceRow
 
 _FACTS_HELP = (
     "Facts seen by the ingest path, by outcome "
-    "(committed|skipped|dead_lettered|rejected)."
+    "(committed|skipped|dead_lettered)."
 )
 _BATCHES_HELP = "Group commits, by flush trigger (size|timer|final)."
-
-#: Queue item ending a pipelined ingest stream.
-_DONE = object()
 
 
 class StreamingLoader:
@@ -157,61 +153,6 @@ class StreamingLoader:
         policy = policy or ErrorPolicy()
         for row in rows:
             self._ingest_one(row, policy)
-        self.flush(trigger="final")
-        self._record_policy(policy)
-        return {
-            "committed": self.committed_facts,
-            "skipped": policy.skipped,
-            "dead_lettered": policy.dead_lettered,
-        }
-
-    def ingest_pipelined(
-        self,
-        rows: Iterable,
-        policy: ErrorPolicy | None = None,
-        queue_size: int = 1024,
-    ) -> dict[str, int]:
-        """:meth:`ingest` through a bounded queue and a committer thread.
-
-        The producer (this thread) parses and enqueues; the consumer
-        thread validates and group-commits.  A full queue blocks the
-        producer — backpressure, not memory growth.  Errors on either
-        side re-raise here after both sides stop.
-        """
-        import threading
-
-        policy = policy or ErrorPolicy()
-        queue = BoundedBuffer(queue_size, metrics=self.metrics)
-        failure: list[BaseException] = []
-
-        def consume() -> None:
-            try:
-                while True:
-                    item = queue.get()
-                    if item is _DONE or item is None:
-                        return
-                    self._ingest_one(item, policy)
-                    # Drain greedily so the gauge reflects real lag.
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                failure.append(exc)
-                # Unstick the producer: swallow the rest of the stream.
-                while queue.get(timeout=0) is not None:
-                    pass
-
-        committer = threading.Thread(target=consume, name="ingest-commit")
-        committer.start()
-        try:
-            for row in rows:
-                if failure:
-                    break
-                queue.put(row)
-            if not failure:
-                queue.put(_DONE)
-        finally:
-            queue.close()
-            committer.join()
-        if failure:
-            raise failure[0]
         self.flush(trigger="final")
         self._record_policy(policy)
         return {

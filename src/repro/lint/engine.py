@@ -1,13 +1,18 @@
-"""The lint driver: parse, bind, and run the rule checkers.
+"""The lint driver: parse, bind, run the rule checkers, analyse.
 
-The engine accepts either specification *source text* (the one-action-
-per-line format of :func:`repro.io.load_specification`) or already-bound
-objects (:class:`repro.spec.specification.ReductionSpecification` /
-:class:`repro.spec.action.Action` lists).  Source input gets the full
-front-end treatment — syntax, name resolution, Clist shape, term binding
+:func:`lint_sources` is the one entry point.  It takes specification
+*source text* (the one-action-per-line format of
+:func:`repro.io.load_specification`) and gives it the full front-end
+treatment — syntax, name resolution, Clist shape, term binding
 (``SDR0xx``) — with diagnostics anchored to 1-based line/column regions
-via the spans the parser attaches to every AST node.  Both input kinds
-then run the semantic checkers of :mod:`repro.lint.rules` (``SDR1xx``).
+via the spans the parser attaches to every AST node.  The bound actions
+then run the semantic checkers of :mod:`repro.lint.rules` (``SDR1xx``
+and ``SDR2xx``).
+
+The :class:`LintContext` it returns memoises the relationship matrix,
+the reachability pass and the single-container shadow map, so the rules
+that read them and the :meth:`LintContext.analysis` report that renders
+them share one computation of each.
 
 Because the ``SDR102``/``SDR103`` checkers call the very same
 :func:`repro.checks.noncrossing.check_noncrossing` and
@@ -19,9 +24,15 @@ conditions cannot diverge from the enforcement path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
-from ..checks.prover import ProverConfig
+from ..analysis.boxes import profile_contained
+from ..analysis.cost import estimate_costs
+from ..analysis.matrix import RelationshipMatrix, relationship_matrix
+from ..analysis.reach import ReachabilityResult, reachability
+from ..analysis.report import SpecAnalysis
+from ..checks.prover import ProverConfig, profiles_overlap
 from ..core.dimension import Dimension
 from ..core.schema import FactSchema
 from ..errors import ReproError, SpecSyntaxError
@@ -30,10 +41,7 @@ from ..spec.ast import ActionSyntax, SourceSpan, union_spans
 from ..spec.parser import parse_action
 from ..spec.ranges import ConjunctProfile, profiles_of
 from .diagnostics import Diagnostic, LintResult, Region, Severity
-from .rules import CHECKERS, RULES, lint_document_measures
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..spec.specification import ReductionSpecification
+from .rules import CHECKERS, RULES
 
 
 @dataclass
@@ -72,6 +80,40 @@ class LintContext:
     def bound(self) -> list[SpecEntry]:
         """Entries whose action bound and whose profiles compiled."""
         return [e for e in self.entries if e.action is not None]
+
+    # The memoised analyses below are read only after binding is done:
+    # by the checkers and by analysis().
+
+    @cached_property
+    def actions(self) -> list[Action]:
+        """The bound actions, in specification order."""
+        return [e.action for e in self.entries if e.action is not None]
+
+    @cached_property
+    def matrix(self) -> RelationshipMatrix:
+        return relationship_matrix(self.actions, self.dimensions, self.prover)
+
+    @cached_property
+    def reach(self) -> ReachabilityResult:
+        return reachability(self.actions, self.dimensions, self.prover)
+
+    @cached_property
+    def shadowed(self) -> dict[str, str]:
+        """Shadowed action -> the one coarser action containing it."""
+        return _single_container_shadowed(self)
+
+    def analysis(self) -> SpecAnalysis:
+        """The semantic analysis report of the bound actions: the same
+        matrix and reachability the rules read, plus cost estimates,
+        which only the report needs."""
+        return SpecAnalysis(
+            actions=tuple(a.name for a in self.actions),
+            matrix=self.matrix,
+            reach=self.reach,
+            costs=estimate_costs(self.actions, self.dimensions, self.prover),
+            reference=self.prover.reference,
+            horizon_years=self.prover.horizon_years,
+        )
 
     def entry_for(self, name: str | None) -> SpecEntry | None:
         for entry in self.entries:
@@ -116,6 +158,50 @@ class LintContext:
             action=entry.name if entry is not None else None,
             hint=hint if hint is not None else rule.hint,
         )
+
+
+def _single_container_shadowed(ctx: LintContext) -> dict[str, str]:
+    """Actions with one coarser action containing every live disjunct —
+    the SDR106 condition, shared with the SDR2xx family (through
+    ``LintContext.shadowed``) so the analyzer rules can defer to the
+    simpler finding when it applies.
+
+    Containment proofs live in :mod:`repro.analysis.boxes`; lint and the
+    semantic analyzer share one implementation.
+    """
+    out: dict[str, str] = {}
+    bound = ctx.bound
+    for i, entry in enumerate(bound):
+        action = entry.action
+        assert action is not None
+        for j, other_entry in enumerate(bound):
+            if i == j:
+                continue
+            other = other_entry.action
+            assert other is not None
+            if not action.le(other):
+                continue
+            if action.cat() == other.cat() and j > i:
+                # For duplicates at the same granularity, only flag the
+                # later action as the shadowed one.
+                continue
+            live = [
+                p
+                for p in entry.profiles
+                if profiles_overlap(p, p, ctx.dimensions, ctx.prover)
+            ]
+            if not live:
+                continue  # unsatisfiable actions are SDR104's business
+            if all(
+                any(
+                    profile_contained(p, q, ctx.dimensions, ctx.prover)
+                    for q in other_entry.profiles
+                )
+                for p in live
+            ):
+                out[action.name] = other.name
+                break
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -326,47 +412,21 @@ def _check_duplicate_names(
 
 
 # ----------------------------------------------------------------------
-# Entry points
+# Entry point
 # ----------------------------------------------------------------------
-
-def _run_checkers(ctx: LintContext) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for _, check in CHECKERS:
-        out.extend(check(ctx))
-    return out
-
 
 def lint_sources(
     sources: Sequence[tuple[str | None, str]],
     schema: FactSchema,
     dimensions: Mapping[str, Dimension] | None = None,
     config: ProverConfig | None = None,
-    document: object | None = None,
-    mo_file: str | None = None,
-) -> LintResult:
-    """Lint specification source text.
+) -> tuple[LintResult, LintContext]:
+    """Parse, bind and lint specification source text, once.
 
     *sources* is a sequence of ``(filename, text)`` pairs; filenames may
-    be ``None`` for in-memory input.  *document* is the raw MO JSON
-    document (if one was loaded), which enables the measure-level rules.
-    """
-    ctx, diagnostics = bind_sources(sources, schema, dimensions, config)
-    diagnostics.extend(_run_checkers(ctx))
-    diagnostics.extend(lint_document_measures(document, mo_file))
-    return LintResult.of(diagnostics)
-
-
-def bind_sources(
-    sources: Sequence[tuple[str | None, str]],
-    schema: FactSchema,
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
-) -> tuple[LintContext, list[Diagnostic]]:
-    """Parse and bind spec sources without running the checkers.
-
-    Returns the bound context (``ctx.bound`` holds the usable actions)
-    and the front-end diagnostics — the entry point for consumers that
-    want the lint engine's error-tolerant parser, like ``repro analyze``.
+    be ``None`` for in-memory input.  Returns the findings and the bound
+    context (``ctx.bound`` holds the usable actions, ``ctx.analysis()``
+    the semantic analysis report).
     """
     entries: list[SpecEntry] = []
     diagnostics: list[Diagnostic] = []
@@ -376,77 +436,9 @@ def bind_sources(
             entry.index = len(entries)
             entries.append(entry)
         diagnostics.extend(file_diags)
-    ctx = LintContext(
-        schema, entries, dimensions, config or ProverConfig()
-    )
+    ctx = LintContext(schema, entries, dimensions, config or ProverConfig())
     _resolve_and_bind(ctx, diagnostics)
     _check_duplicate_names(ctx, diagnostics)
-    return ctx, diagnostics
-
-
-def lint_paths(
-    paths: Sequence[str],
-    schema: FactSchema,
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
-    document: object | None = None,
-    mo_file: str | None = None,
-) -> LintResult:
-    """Lint specification files from disk."""
-    sources: list[tuple[str | None, str]] = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as stream:
-            sources.append((path, stream.read()))
-    return lint_sources(
-        sources, schema, dimensions, config, document, mo_file
-    )
-
-
-def _entries_from_actions(actions: Iterable[Action]) -> list[SpecEntry]:
-    entries: list[SpecEntry] = []
-    for index, action in enumerate(actions):
-        entry = SpecEntry(
-            index=index,
-            source=action.source,
-            line=index + 1,
-            column=1,
-            declared_name=action.name,
-            syntax=action.syntax,
-            action=action,
-        )
-        try:
-            entry.profiles = tuple(profiles_of(action))
-        except ReproError:
-            entry.profiles = ()
-        entries.append(entry)
-    return entries
-
-
-def lint_actions(
-    actions: Iterable[Action],
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
-) -> LintResult:
-    """Run the semantic rules over already-bound actions."""
-    entries = _entries_from_actions(actions)
-    if not entries:
-        return LintResult.of(())
-    schema = entries[0].action.schema  # type: ignore[union-attr]
-    ctx = LintContext(schema, entries, dimensions, config or ProverConfig())
-    diagnostics: list[Diagnostic] = []
-    _check_duplicate_names(ctx, diagnostics)
-    diagnostics.extend(_run_checkers(ctx))
-    return LintResult.of(diagnostics)
-
-
-def lint_specification(
-    specification: "ReductionSpecification",
-    config: ProverConfig | None = None,
-) -> LintResult:
-    """Lint a bound specification with its own dimensions and prover
-    configuration, guaranteeing agreement with its insert-time gates."""
-    return lint_actions(
-        list(specification),
-        specification.dimensions,
-        config or specification.prover_config,
-    )
+    for _, check in CHECKERS:
+        diagnostics.extend(check(ctx))
+    return LintResult.of(diagnostics), ctx

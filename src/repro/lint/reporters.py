@@ -30,9 +30,9 @@ def render_text(result: LintResult) -> str:
     return "\n".join(lines)
 
 
-def render_json(result: LintResult) -> str:
-    """A stable machine-readable report for tooling and tests."""
-    payload = {
+def json_report(result: LintResult) -> dict:
+    """The JSON report document as a plain dict."""
+    return {
         "diagnostics": [d.to_dict() for d in result],
         "summary": {
             "errors": len(result.errors),
@@ -40,7 +40,11 @@ def render_json(result: LintResult) -> str:
             "infos": len(result.infos),
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def render_json(result: LintResult) -> str:
+    """A stable machine-readable report for tooling and tests."""
+    return json.dumps(json_report(result), indent=2, sort_keys=True)
 
 
 def _sarif_result(diagnostic: Diagnostic, rule_index: dict[str, int]) -> dict:

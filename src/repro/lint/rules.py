@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..analysis.boxes import profile_contained
-from ..analysis.matrix import Verdict, relationship_matrix
-from ..analysis.reach import reachability
+from ..analysis.matrix import Verdict
 from ..checks.growing import check_growing
 from ..checks.noncrossing import check_noncrossing
 from ..checks.prover import profiles_overlap
@@ -36,7 +35,7 @@ from ..timedim.now import AbsoluteTime, NowRelative
 from .diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import LintContext, SpecEntry
+    from .engine import LintContext
 
 
 @dataclass(frozen=True)
@@ -357,52 +356,9 @@ def check_unsatisfiable(ctx: "LintContext") -> Iterator[Diagnostic]:
 # SDR106 — dead / shadowed actions
 # ----------------------------------------------------------------------
 
-def _single_container_shadowed(ctx: "LintContext") -> dict[str, str]:
-    """Actions with one coarser action containing every live disjunct —
-    the SDR106 condition, shared with the SDR2xx family so the analyzer
-    rules can defer to the simpler finding when it applies.
-
-    Containment proofs live in :mod:`repro.analysis.boxes`; lint and the
-    semantic analyzer share one implementation.
-    """
-    out: dict[str, str] = {}
-    bound = ctx.bound
-    for i, entry in enumerate(bound):
-        action = entry.action
-        assert action is not None
-        for j, other_entry in enumerate(bound):
-            if i == j:
-                continue
-            other = other_entry.action
-            assert other is not None
-            if not action.le(other):
-                continue
-            if action.cat() == other.cat() and j > i:
-                # For duplicates at the same granularity, only flag the
-                # later action as the shadowed one.
-                continue
-            live = [
-                p
-                for p in entry.profiles
-                if profiles_overlap(p, p, ctx.dimensions, ctx.prover)
-            ]
-            if not live:
-                continue  # unsatisfiable actions are SDR104's business
-            if all(
-                any(
-                    profile_contained(p, q, ctx.dimensions, ctx.prover)
-                    for q in other_entry.profiles
-                )
-                for p in live
-            ):
-                out[action.name] = other.name
-                break
-    return out
-
-
 @checker("SDR106")
 def check_shadowed(ctx: "LintContext") -> Iterator[Diagnostic]:
-    for name, container in _single_container_shadowed(ctx).items():
+    for name, container in ctx.shadowed.items():
         yield ctx.diagnostic(
             "SDR106",
             f"action {name!r} is shadowed by "
@@ -545,14 +501,10 @@ def check_bottom_noop(ctx: "LintContext") -> Iterator[Diagnostic]:
 
 @checker("SDR201")
 def check_dead_action(ctx: "LintContext") -> Iterator[Diagnostic]:
-    bound = ctx.bound
-    if len(bound) < 2:
+    if len(ctx.bound) < 2:
         return
-    shadowed = _single_container_shadowed(ctx)
-    actions = [entry.action for entry in bound]
-    result = reachability(actions, ctx.dimensions, ctx.prover)
-    for name, catchers in result.dead.items():
-        if name in shadowed:
+    for name, catchers in ctx.reach.dead.items():
+        if name in ctx.shadowed:
             continue  # the single-container case is SDR106's finding
         covered_by = ", ".join(repr(c) for c in catchers)
         yield ctx.diagnostic(
@@ -568,11 +520,10 @@ def check_shadowed_disjunct(ctx: "LintContext") -> Iterator[Diagnostic]:
     bound = ctx.bound
     if len(bound) < 2:
         return
-    shadowed = _single_container_shadowed(ctx)
     for i, entry in enumerate(bound):
         action = entry.action
         assert action is not None
-        if action.name in shadowed:
+        if action.name in ctx.shadowed:
             continue  # the whole action is SDR106's finding
         conjuncts = action.conjuncts()
         if len(conjuncts) < 2:
@@ -618,19 +569,15 @@ def check_shadowed_disjunct(ctx: "LintContext") -> Iterator[Diagnostic]:
 def check_same_granularity_overlap(
     ctx: "LintContext",
 ) -> Iterator[Diagnostic]:
-    bound = ctx.bound
-    actions = [entry.action for entry in bound]
+    actions = ctx.actions
     pairs = [
         (a, b)
         for i, a in enumerate(actions)
         for b in actions[i + 1:]
-        if a is not None and b is not None and a.cat() == b.cat()
+        if a.cat() == b.cat()
     ]
-    if not pairs:
-        return
-    matrix = relationship_matrix(actions, ctx.dimensions, ctx.prover)
     for a, b in pairs:
-        relation = matrix.get(a.name, b.name)
+        relation = ctx.matrix.get(a.name, b.name)
         if relation is None or relation.verdict is not Verdict.OVERLAPPING:
             continue
         detail = ""

@@ -1,34 +1,40 @@
-"""Unit tests for the bundled SpecAnalysis report."""
+"""Unit tests for the bundled SpecAnalysis report, built by the lint
+engine's bound context."""
 
 import datetime as dt
 import json
 
-from repro.analysis import (
-    ANALYSIS_SCHEMA,
-    analyze_actions,
-    analyze_specification,
-)
+from repro.analysis import ANALYSIS_SCHEMA
 from repro.checks.prover import ProverConfig
-from repro.spec.action import Action
+from repro.lint import lint_sources
 
 PROVER = ProverConfig(reference=dt.date(2001, 1, 1), horizon_years=2)
 
 
-def act(mo, name, granularity, predicate):
-    text = f"p(a[{granularity}] o[{predicate}](O))"
-    return Action.parse(mo.schema, text, name)
+def analyze(mo, lines, config=None):
+    text = "".join(f"{line}\n" for line in lines)
+    _, ctx = lint_sources([(None, text)], mo.schema, mo.dimensions, config)
+    return ctx.analysis()
+
+
+def spec_lines(specification):
+    return [f"{a.name}: {a.source}" for a in specification]
+
+
+def act(name, granularity, predicate):
+    return f"{name}: p(a[{granularity}] o[{predicate}](O))"
 
 
 class TestAnalyzeSpecification:
-    def test_paper_spec_bundle(self, paper_spec):
-        analysis = analyze_specification(paper_spec)
+    def test_paper_spec_bundle(self, paper_mo, paper_spec):
+        analysis = analyze(paper_mo, spec_lines(paper_spec))
         assert analysis.actions == ("a1", "a2")
         assert len(analysis.matrix.pairs()) == 1
         assert set(analysis.reach.live) == {"a1", "a2"}
         assert len(analysis.costs) == 2
 
-    def test_to_dict_is_json_serializable(self, paper_spec):
-        payload = analyze_specification(paper_spec).to_dict()
+    def test_to_dict_is_json_serializable(self, paper_mo, paper_spec):
+        payload = analyze(paper_mo, spec_lines(paper_spec)).to_dict()
         assert payload["schema"] == ANALYSIS_SCHEMA
         assert payload["actions"] == ["a1", "a2"]
         assert set(payload) == {
@@ -42,8 +48,8 @@ class TestAnalyzeSpecification:
         }
         json.dumps(payload)  # must not raise
 
-    def test_render_text_sections(self, paper_spec):
-        text = analyze_specification(paper_spec).render_text()
+    def test_render_text_sections(self, paper_mo, paper_spec):
+        text = analyze(paper_mo, spec_lines(paper_spec)).render_text()
         assert "Action-relationship matrix:" in text
         assert "Reachability:" in text
         assert "Cost estimates" in text
@@ -52,33 +58,22 @@ class TestAnalyzeSpecification:
 
 class TestAnalyzeActions:
     def test_empty_action_list(self, paper_mo):
-        analysis = analyze_actions([], paper_mo.dimensions, PROVER)
+        analysis = analyze(paper_mo, [], PROVER)
         assert analysis.actions == ()
         assert "(fewer than two actions)" in analysis.render_text()
 
     def test_reach_findings_rendered(self, paper_mo):
-        actions = [
+        lines = [
             act(
-                paper_mo,
                 "never",
                 "Time.month, URL.domain",
                 "URL.domain_grp = '.com' AND URL.domain_grp = '.edu'",
             ),
-            act(
-                paper_mo,
-                "com",
-                "Time.month, URL.domain_grp",
-                "URL.domain_grp = '.com'",
-            ),
-            act(
-                paper_mo,
-                "edu",
-                "Time.month, URL.domain_grp",
-                "URL.domain_grp = '.edu'",
-            ),
-            act(paper_mo, "victim", "Time.month, URL.domain_grp", "TRUE"),
+            act("com", "Time.month, URL.domain_grp", "URL.domain_grp = '.com'"),
+            act("edu", "Time.month, URL.domain_grp", "URL.domain_grp = '.edu'"),
+            act("victim", "Time.month, URL.domain_grp", "TRUE"),
         ]
-        analysis = analyze_actions(actions, paper_mo.dimensions, PROVER)
+        analysis = analyze(paper_mo, lines, PROVER)
         assert analysis.reach.unsatisfiable == ("never",)
         assert analysis.reach.dead == {"victim": ("com", "edu")}
         text = analysis.render_text()
@@ -86,10 +81,8 @@ class TestAnalyzeActions:
         assert "dead: victim (union-covered by com, edu)" in text
 
     def test_config_threads_through(self, paper_mo):
-        analysis = analyze_actions(
-            [act(paper_mo, "all", "Time.month, URL.domain", "TRUE")],
-            paper_mo.dimensions,
-            PROVER,
+        analysis = analyze(
+            paper_mo, [act("all", "Time.month, URL.domain", "TRUE")], PROVER
         )
         assert analysis.reference == PROVER.reference
         assert analysis.horizon_years == PROVER.horizon_years

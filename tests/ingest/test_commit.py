@@ -142,20 +142,3 @@ class TestErrorHandling:
         assert tally == {"committed": 6, "skipped": 1, "dead_lettered": 0}
         assert store.metrics.value(INGEST_FACTS, {"outcome": "skipped"}) == 1
 
-
-class TestPipelined:
-    def test_pipelined_equals_sequential(self):
-        pipelined = memory_store()
-        tally = StreamingLoader(pipelined, batch_size=3).ingest_pipelined(
-            iter(ALL_FACTS), queue_size=2
-        )
-        sequential = memory_store()
-        StreamingLoader(sequential, batch_size=3).ingest(iter(ALL_FACTS))
-        assert tally["committed"] == len(ALL_FACTS)
-        assert fingerprint(pipelined) == fingerprint(sequential)
-
-    def test_pipelined_reraises_consumer_failure(self):
-        loader = StreamingLoader(memory_store(), batch_size=2)
-        rows = TestErrorHandling.poisoned(3)
-        with pytest.raises(IngestError):
-            loader.ingest_pipelined(iter(rows), queue_size=1)

@@ -12,8 +12,7 @@ import pathlib
 import jsonschema
 import pytest
 
-from repro.lint import lint_paths, sarif_log
-from repro.lint.engine import LintContext, parse_spec_text
+from repro.lint import lint_sources, sarif_log
 from tests.lint.test_reporters import SARIF_SUBSET_SCHEMA
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -30,11 +29,20 @@ def example_mo():
         return load_mo(stream)
 
 
-@pytest.fixture(scope="module")
-def broken_result(example_mo):
-    return lint_paths(
-        [str(BROKEN)], example_mo.schema, example_mo.dimensions
+def lint_file(path, mo):
+    return lint_sources(
+        [(str(path), path.read_text())], mo.schema, mo.dimensions
     )
+
+
+@pytest.fixture(scope="module")
+def broken_check(example_mo):
+    return lint_file(BROKEN, example_mo)
+
+
+@pytest.fixture(scope="module")
+def broken_result(broken_check):
+    return broken_check[0]
 
 
 class TestBrokenCorpus:
@@ -106,19 +114,13 @@ class TestBrokenCorpus:
         jsonschema.validate(log, SARIF_SUBSET_SCHEMA)
         json.dumps(log)  # fully serializable
 
-    def test_agrees_with_soundness_checkers(self, example_mo, broken_result):
+    def test_agrees_with_soundness_checkers(self, example_mo, broken_check):
         from repro.checks.growing import check_growing
         from repro.checks.noncrossing import check_noncrossing
 
-        entries, _ = parse_spec_text(BROKEN.read_text(), str(BROKEN))
-        ctx = LintContext(example_mo.schema, entries, example_mo.dimensions)
-        # Re-bind through the public engine path to get the action set
-        # the lint run analyzed.
-        from repro.lint.engine import _check_duplicate_names, _resolve_and_bind
-
-        _resolve_and_bind(ctx, [])
-        _check_duplicate_names(ctx, [])
-        actions = [entry.action for entry in ctx.bound]
+        broken_result, ctx = broken_check
+        # The bound context is the action set the lint run analyzed.
+        actions = ctx.actions
         crossings = check_noncrossing(actions, example_mo.dimensions)
         growings = check_growing(actions, example_mo.dimensions)
         assert len([d for d in broken_result if d.code == "SDR102"]) == len(
@@ -132,7 +134,5 @@ class TestBrokenCorpus:
 
 class TestPaperCorpus:
     def test_paper_spec_is_clean(self, example_mo):
-        result = lint_paths(
-            [str(PAPER)], example_mo.schema, example_mo.dimensions
-        )
+        result, _ = lint_file(PAPER, example_mo)
         assert len(result) == 0

@@ -13,12 +13,19 @@ from repro.experiments.paper_example import (
     action_a8,
     growing_example_actions,
 )
-from repro.lint import Severity, lint_actions, lint_sources, lint_specification
+from repro.lint import Severity, lint_sources
 from repro.spec.specification import ReductionSpecification
 
 
 def lint_text(text, mo):
-    return lint_sources([("test.spec", text)], mo.schema, mo.dimensions)
+    result, _ = lint_sources([("test.spec", text)], mo.schema, mo.dimensions)
+    return result
+
+
+def lint_bound(actions, mo):
+    """Lint already-bound actions through their source text."""
+    text = "".join(f"{a.name}: {a.source}\n" for a in actions)
+    return lint_text(text, mo)
 
 
 def codes(result):
@@ -201,7 +208,7 @@ class TestSemanticRules:
         assert "SDR110" in codes(result)
 
     def test_clean_specification(self, paper_mo, paper_spec):
-        assert len(lint_specification(paper_spec)) == 0
+        assert len(lint_bound(paper_spec, paper_mo)) == 0
 
 
 class TestVerdictAgreement:
@@ -223,7 +230,7 @@ class TestVerdictAgreement:
     @pytest.mark.parametrize("index", range(8))
     def test_agreement(self, paper_mo, index):
         actions = self.subsets(paper_mo)[index]
-        result = lint_actions(actions, paper_mo.dimensions)
+        result = lint_bound(actions, paper_mo)
         crossings = check_noncrossing(actions, paper_mo.dimensions)
         growings = check_growing(actions, paper_mo.dimensions)
         sdr102 = [d for d in result if d.code == "SDR102"]
@@ -244,6 +251,6 @@ class TestVerdictAgreement:
             actions, paper_mo.dimensions, validate=False
         )
         violations = spec.violations()
-        result = lint_specification(spec)
+        result = lint_bound(spec, paper_mo)
         gate = [d for d in result if d.code in ("SDR102", "SDR103")]
         assert len(gate) == len(violations) > 0

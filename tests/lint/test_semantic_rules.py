@@ -1,10 +1,12 @@
-"""Unit tests for the analyzer-backed SDR2xx lint rules and bind_sources."""
+"""Unit tests for the analyzer-backed SDR2xx lint rules and the bound
+context lint_sources returns."""
 
-from repro.lint import Severity, bind_sources, lint_sources
+from repro.lint import Severity, lint_sources
 
 
 def lint_text(text, mo):
-    return lint_sources([("test.spec", text)], mo.schema, mo.dimensions)
+    result, _ = lint_sources([("test.spec", text)], mo.schema, mo.dimensions)
+    return result
 
 
 def codes(result):
@@ -162,7 +164,7 @@ class TestAlwaysTrueResidual:
 
 class TestBindSources:
     def test_bound_entries_and_diagnostics(self, paper_mo):
-        ctx, diagnostics = bind_sources(
+        result, ctx = lint_sources(
             [
                 (
                     "mix.spec",
@@ -176,6 +178,7 @@ class TestBindSources:
         )
         # The parse error becomes a front-end diagnostic; the good entry
         # still binds so downstream analyses can run.
-        assert [d.code for d in diagnostics] == ["SDR001"]
+        assert [d.code for d in result] == ["SDR001"]
+        assert ctx.analysis().actions == ("good",)
         assert [entry.action.name for entry in ctx.bound] == ["good"]
         assert ctx.entry_for("good") is not None

@@ -21,7 +21,7 @@ from repro.experiments.paper_example import (
     build_paper_mo,
     growing_example_actions,
 )
-from repro.lint import Severity, lint_specification
+from repro.lint import Severity, lint_sources
 from repro.spec.specification import ReductionSpecification
 
 SETTINGS = settings(max_examples=12, deadline=None)
@@ -35,6 +35,13 @@ _POOL = (
     action_a8(_MO),
     *growing_example_actions(_MO),
 )
+
+
+def lint_through_source(spec):
+    """Lint a bound specification through its source text."""
+    text = "".join(f"{a.name}: {a.source}\n" for a in spec)
+    result, _ = lint_sources([(None, text)], _MO.schema, _MO.dimensions)
+    return result
 
 
 @st.composite
@@ -55,7 +62,7 @@ def action_subsets(draw):
 def test_lint_errors_superset_of_rejections(actions):
     spec = ReductionSpecification(actions, _MO.dimensions, validate=False)
     violations = spec.violations()
-    result = lint_specification(spec)
+    result = lint_through_source(spec)
     errors = result.errors
     for violation in violations:
         if isinstance(violation, CrossingViolation):
@@ -81,7 +88,7 @@ def test_gate_codes_only_when_rejected(actions):
     # The converse on the gate rules: a subset the specification would
     # accept must produce no SDR102/SDR103 diagnostics at all.
     spec = ReductionSpecification(actions, _MO.dimensions, validate=False)
-    result = lint_specification(spec)
+    result = lint_through_source(spec)
     gate = [d for d in result if d.code in ("SDR102", "SDR103")]
     if not spec.violations():
         assert gate == []

@@ -2,6 +2,8 @@
 
 import datetime as dt
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -11,6 +13,10 @@ from repro.experiments.paper_example import (
     paper_specification,
 )
 from repro.io import dump_mo, dump_specification
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+BROKEN_SPEC = REPO / "examples" / "specs" / "broken.spec"
+CLICK_MO = REPO / "examples" / "click_mo.json"
 
 
 @pytest.fixture
@@ -29,7 +35,7 @@ class TestCheck:
     def test_sound_spec(self, stored, capsys):
         mo_file, spec_file = stored
         assert main(["check", str(spec_file), "--mo", str(mo_file)]) == 0
-        assert "sound" in capsys.readouterr().out
+        assert "0 error(s)" in capsys.readouterr().out
 
     def test_unsound_spec(self, stored, tmp_path, capsys):
         mo_file, _ = stored
@@ -39,7 +45,7 @@ class TestCheck:
             "NOW - 12 months <= Time.month <= NOW - 6 months]\n"
         )
         assert main(["check", str(bad), "--mo", str(mo_file)]) == 1
-        assert "NOT sound" in capsys.readouterr().out
+        assert "error[SDR103]" in capsys.readouterr().out
 
     def test_missing_file(self, stored, capsys):
         mo_file, _ = stored
@@ -80,6 +86,107 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] == 0
 
+    @pytest.mark.parametrize("format", ["text", "json", "sarif"])
+    @pytest.mark.parametrize(
+        "source, code",
+        [
+            ("bad: p(a[Time.month URL.domain] o[TRUE](O))\n", "SDR001"),
+            (
+                "bad: p(a[Time.month, URL.domain] "
+                "o[Browser.name = 'x'](O))\n",
+                "SDR002",
+            ),
+        ],
+    )
+    def test_unusable_only_action_exits_one(
+        self, stored, tmp_path, capsys, format, source, code
+    ):
+        # Nothing binds, so the analysis is empty; the front-end error
+        # still fails the check in every format.
+        mo_file, _ = stored
+        spec = tmp_path / "only.spec"
+        spec.write_text(source)
+        argv = ["check", str(spec), "--mo", str(mo_file), "--format", format]
+        assert main(argv) == 1
+        assert code in capsys.readouterr().out
+
+    def test_unusable_mo_report_goes_to_output_file(
+        self, tmp_path, capsys
+    ):
+        mo_file = tmp_path / "avg_mo.json"
+        mo_file.write_text(json.dumps(AVG_MO_DOCUMENT))
+        out_file = tmp_path / "report.sarif"
+        argv = [
+            "check",
+            str(BROKEN_SPEC),
+            "--mo",
+            str(mo_file),
+            "--format",
+            "sarif",
+            "-o",
+            str(out_file),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot load MO document" in captured.err
+        log = json.loads(out_file.read_text())
+        assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["SDR111"]
+
+    def test_malformed_mo_document_exits_two(self, stored, tmp_path):
+        _, spec_file = stored
+        mo_file = tmp_path / "mo.json"
+        mo_file.write_text("{not json")
+        assert main(["check", str(spec_file), "--mo", str(mo_file)]) == 2
+
+    def test_one_analysis_per_check(self, monkeypatch, capsys):
+        from repro.analysis import reachability, relationship_matrix
+        from repro.lint import engine
+
+        calls: dict[str, int] = {}
+
+        def counted(function):
+            def wrapper(*args, **kwargs):
+                name = function.__name__
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for original in (
+            relationship_matrix,
+            reachability,
+            engine._single_container_shadowed,
+        ):
+            wrapper = counted(original)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] != "repro":
+                    continue
+                if getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, wrapper)
+        argv = ["check", str(BROKEN_SPEC), "--mo", str(CLICK_MO)]
+        assert main(argv + ["--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["analysis"]["reachability"]["dead"]
+        assert calls == {
+            "relationship_matrix": 1,
+            "reachability": 1,
+            "_single_container_shadowed": 1,
+        }
+
+
+#: An MO document the model layer refuses: ``avg`` is not distributive.
+AVG_MO_DOCUMENT = {
+    "format": 1,
+    "fact_type": "Click",
+    "dimension_order": ["Time"],
+    "dimensions": {
+        "Time": {"chains": [["day"]], "time_like": True, "values": []}
+    },
+    "measures": [{"name": "Dwell", "aggregate": "avg"}],
+    "facts": [],
+}
+
 
 class TestLint:
     @pytest.fixture
@@ -94,7 +201,7 @@ class TestLint:
 
     def test_text_report_and_exit_code(self, stored, broken, capsys):
         mo_file, _ = stored
-        assert main(["lint", str(broken), "--mo", str(mo_file)]) == 1
+        assert main(["check", str(broken), "--mo", str(mo_file)]) == 1
         out = capsys.readouterr().out
         assert "error[SDR002]" in out
         assert "info[SDR110]" in out
@@ -102,14 +209,14 @@ class TestLint:
 
     def test_clean_spec_exits_zero(self, stored, capsys):
         mo_file, spec_file = stored
-        assert main(["lint", str(spec_file), "--mo", str(mo_file)]) == 0
+        assert main(["check", str(spec_file), "--mo", str(mo_file)]) == 0
         assert "0 error(s)" in capsys.readouterr().out
 
     def test_select_filter_changes_exit_code(self, stored, broken, capsys):
         mo_file, _ = stored
         code = main(
             [
-                "lint",
+                "check",
                 str(broken),
                 "--mo",
                 str(mo_file),
@@ -124,7 +231,7 @@ class TestLint:
         mo_file, _ = stored
         code = main(
             [
-                "lint",
+                "check",
                 str(broken),
                 "--mo",
                 str(mo_file),
@@ -140,7 +247,7 @@ class TestLint:
         out_file = tmp_path / "report.sarif"
         code = main(
             [
-                "lint",
+                "check",
                 str(broken),
                 "--mo",
                 str(mo_file),
@@ -162,7 +269,7 @@ class TestLint:
     def test_multiple_spec_files(self, stored, broken, capsys):
         mo_file, spec_file = stored
         assert (
-            main(["lint", str(spec_file), str(broken), "--mo", str(mo_file)])
+            main(["check", str(spec_file), str(broken), "--mo", str(mo_file)])
             == 1
         )
         out = capsys.readouterr().out
@@ -170,23 +277,13 @@ class TestLint:
 
     def test_missing_spec_file(self, stored, capsys):
         mo_file, _ = stored
-        assert main(["lint", "/nonexistent", "--mo", str(mo_file)]) == 2
+        assert main(["check", "/nonexistent", "--mo", str(mo_file)]) == 2
 
     def test_non_distributive_measure_document(self, broken, tmp_path, capsys):
-        mo_document = {
-            "format": 1,
-            "fact_type": "Click",
-            "dimension_order": ["Time"],
-            "dimensions": {
-                "Time": {"chains": [["day"]], "time_like": True, "values": []}
-            },
-            "measures": [{"name": "Dwell", "aggregate": "avg"}],
-            "facts": [],
-        }
         mo_file = tmp_path / "avg_mo.json"
-        mo_file.write_text(json.dumps(mo_document))
+        mo_file.write_text(json.dumps(AVG_MO_DOCUMENT))
         # Unusable inputs are exit status 2 (1 is reserved for findings).
-        assert main(["lint", str(broken), "--mo", str(mo_file)]) == 2
+        assert main(["check", str(broken), "--mo", str(mo_file)]) == 2
         captured = capsys.readouterr()
         assert "SDR111" in captured.out
         assert "cannot load MO document" in captured.err
@@ -262,6 +359,14 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "argument --at" in err
         assert repr(at) in err
+
+    @pytest.mark.parametrize("verb", ["lint", "analyze"])
+    def test_removed_spec_verbs_are_usage_errors(self, stored, capsys, verb):
+        mo_file, spec_file = stored
+        with pytest.raises(SystemExit) as raised:
+            main([verb, str(spec_file), "--mo", str(mo_file)])
+        assert raised.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["reduce", "sync", "serve"])
     def test_workers_flag_is_a_usage_error(self, stored, capsys, verb):
@@ -749,26 +854,26 @@ class TestAnalyze:
 
     def test_clean_spec_text_report(self, stored, capsys):
         mo_file, spec_file = stored
-        code = main(["analyze", str(spec_file), "--mo", str(mo_file)])
+        code = main(["check", str(spec_file), "--mo", str(mo_file)])
         assert code == 0
         out = capsys.readouterr().out
         assert "Action-relationship matrix:" in out
         assert "Reachability:" in out
         assert "Cost estimates" in out
 
-    def test_findings_exit_one(self, stored, findings_spec, capsys):
+    def test_warning_findings_exit_zero(self, stored, findings_spec, capsys):
         mo_file, _ = stored
-        code = main(["analyze", str(findings_spec), "--mo", str(mo_file)])
-        assert code == 1
+        code = main(["check", str(findings_spec), "--mo", str(mo_file)])
+        assert code == 0  # SDR201 is a warning; only errors fail
         out = capsys.readouterr().out
-        assert "Analyzer findings:" in out
-        assert "SDR201" in out
+        assert "warning[SDR201]" in out
+        assert "dead: victim" in out
 
     def test_json_format(self, stored, capsys):
         mo_file, spec_file = stored
         code = main(
             [
-                "analyze",
+                "check",
                 str(spec_file),
                 "--mo",
                 str(mo_file),
@@ -780,13 +885,13 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["analysis"]["schema"] == "repro-analysis/2"
         assert payload["analysis"]["actions"] == ["a1", "a2"]
-        assert payload["findings"] == []
+        assert payload["diagnostics"] == []
 
     def test_sarif_embeds_analysis(self, stored, findings_spec, capsys):
         mo_file, _ = stored
         code = main(
             [
-                "analyze",
+                "check",
                 str(findings_spec),
                 "--mo",
                 str(mo_file),
@@ -794,7 +899,7 @@ class TestAnalyze:
                 "sarif",
             ]
         )
-        assert code == 1
+        assert code == 0
         log = json.loads(capsys.readouterr().out)
         run = log["runs"][0]
         assert run["properties"]["analysis"]["schema"] == "repro-analysis/2"
@@ -810,7 +915,7 @@ class TestAnalyze:
         out_file = tmp_path / "analysis.json"
         code = main(
             [
-                "analyze",
+                "check",
                 str(spec_file),
                 "--mo",
                 str(mo_file),
@@ -834,18 +939,20 @@ class TestAnalyze:
             "o[URL.domain_grp = '.com'](O))\n"
             "bad: p(a[Time.month URL.domain] o[TRUE](O))\n"
         )
-        code = main(["analyze", str(path), "--mo", str(mo_file)])
-        # The good entry is analyzed; the front-end error is a lint
-        # finding, not an analyze crash.
-        assert code == 0
-        assert "good" in capsys.readouterr().out
+        code = main(["check", str(path), "--mo", str(mo_file)])
+        # The good entry is analyzed; the front-end error is an
+        # error-level finding, not a crash.
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "error[SDR001]" in out
+        assert "live: good" in out
 
     def test_missing_inputs_exit_two(self, stored, tmp_path, capsys):
         mo_file, spec_file = stored
         assert (
-            main(["analyze", "/nonexistent.spec", "--mo", str(mo_file)]) == 2
+            main(["check", "/nonexistent.spec", "--mo", str(mo_file)]) == 2
         )
         assert (
-            main(["analyze", str(spec_file), "--mo", "/nonexistent.json"])
+            main(["check", str(spec_file), "--mo", "/nonexistent.json"])
             == 2
         )
