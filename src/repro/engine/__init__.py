@@ -27,7 +27,7 @@ from .queryproc import (
     query_cube,
     query_store,
 )
-from .store import AuditReport, Migration, SubcubeStore
+from .store import AuditReport, SubcubeStore
 from .subcube import SubCube
 from .sync import (
     MigrationEvent,
@@ -50,7 +50,6 @@ __all__ = [
     "SlowFault",
     "Journal",
     "JournalRecord",
-    "Migration",
     "QueryPlan",
     "explain_plan",
     "MigrationEvent",

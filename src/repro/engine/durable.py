@@ -7,11 +7,13 @@ process crash mid-``synchronize`` would silently lose facts that were
 removed from a fine cube but never inserted into their target.  This
 module makes every store mutation durable and atomic:
 
-* an append-only **write-ahead journal** (``journal.jsonl``): one JSON
-  record per line for ``load``, ``sync_begin``, ``migrate``,
-  ``sync_commit``, ``rebuild``, ``reduce``, and ``abort``, each with a
-  monotonically increasing LSN and a CRC-32 checksum, fsynced at commit
-  points;
+* an append-only **write-ahead journal** (``journal.jsonl``) of the
+  inputs that determine the state: one JSON record per line for
+  ``load``, ``sync_begin``, ``sync_commit``, ``rebuild``, ``reduce``,
+  and ``abort``, each with a monotonically increasing LSN and a CRC-32
+  checksum, fsynced at commit points.  A synchronization is a
+  deterministic function of the store, the specification and ``NOW``
+  (Definition 2), so the journal records when it ran, never what moved;
 * **atomic snapshots** (``snapshots/snap-<lsn>.json`` + a ``CURRENT``
   manifest): every cube's facts (its memoized
   :class:`~repro.engine.subcube.FactBlock` text — dimensions live in
@@ -19,8 +21,10 @@ module makes every store mutation durable and atomic:
   published with ``os.replace`` so a crash never corrupts the previous
   snapshot; the newest :data:`SNAPSHOTS_KEPT` documents are retained;
 * **recovery** (:func:`open_durable`): load the latest valid snapshot,
-  replay the journal tail, discard torn or checksum-failing trailing
-  records, and skip uncommitted transactions — the recovered store is
+  replay the journal tail (a committed synchronization by running it
+  again and checking its ``moved``/``examined`` counts against the
+  commit record), discard torn or checksum-failing trailing records,
+  and skip uncommitted transactions — the recovered store is
   always bit-for-bit equal to a pre- or post-operation state, never
   anything in between (property-tested per failpoint in
   ``tests/engine/test_crash_recovery.py``);
@@ -68,7 +72,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..spec.specification import ReductionSpecification
 from .faults import PASSIVE, FaultInjector, InjectedFault
-from .store import SYNC_LAST_EXAMINED, Migration, SubcubeStore
+from .store import SYNC_LAST_EXAMINED, SubcubeStore
 
 FORMAT_VERSION = 1
 
@@ -277,9 +281,9 @@ class DurableStore(SubcubeStore):
     """A :class:`SubcubeStore` whose every mutation is journaled.
 
     Mutations follow write-ahead discipline: the journal record is
-    appended before (``load``) or interleaved with (``migrate``) the
-    in-memory change, and a transaction only becomes durable when its
-    commit record (``load`` itself, or ``sync_commit``) is fsynced.
+    appended before the in-memory change (``load``, ``sync_begin``), and
+    a transaction only becomes durable when its commit record (``load``
+    itself, or ``sync_commit``) is fsynced.
     Recovery ignores transactions whose commit never reached the disk,
     so a crashed process resumes at the last committed state.
     """
@@ -432,21 +436,9 @@ class DurableStore(SubcubeStore):
             {"at": now.isoformat(), "incremental": incremental},
         )
 
-    def _journal_migrate(self, migration: Migration) -> None:
-        if self._replaying:
-            return
-        self._journal.append(
-            "migrate",
-            {
-                "fact": migration.fact_id,
-                "from": migration.source,
-                "to": migration.target,
-                "coordinates": dict(migration.coordinates),
-                "measures": dict(migration.measures),
-                "members": sorted(migration.provenance.members),
-            },
-        )
-        self._faults.hit("sync.migrate")
+    def _migrate_fault(self) -> None:
+        if not self._replaying:
+            self._faults.hit("sync.migrate")
 
     def _journal_sync_commit(
         self, now: _dt.date, moved: Mapping[str, int], examined: int
@@ -484,9 +476,9 @@ class DurableStore(SubcubeStore):
             {"at": now.isoformat(), "spec": spec_stream.getvalue()},
             sync=True,
         )
-        # A rebuild rewires the cube set, which physical migrate replay
-        # cannot cross; publishing a snapshot right away makes the new
-        # shape the recovery baseline.
+        # Replay could re-run the rebuild from this record, but that
+        # re-places every fact; publishing a snapshot right away makes
+        # the new cube set the recovery baseline and spares recovery it.
         self.snapshot()
 
     def record_reduce(self, at: _dt.date, **info: object) -> int:
@@ -689,7 +681,7 @@ def open_durable(
     metrics = store.metrics
     metrics.gauge(
         RECOVERY_REPLAYED,
-        help="Journal records the last recovery physically replayed.",
+        help="Journal records the last recovery replayed.",
     ).set(report.replayed)
     metrics.gauge(
         RECOVERY_DISCARDED,
@@ -798,7 +790,7 @@ def _replay(
         for record in records
         if record.op == "abort"
     }
-    open_sync: dict | None = None
+    open_sync: JournalRecord | None = None
     for record in records:
         if record.op == "load":
             # Source-measure bookkeeping spans the whole journal, even
@@ -827,26 +819,19 @@ def _replay(
                 continue
             report.replayed += 1
         elif record.op == "sync_begin":
-            open_sync = {
-                "at": _dt.date.fromisoformat(record.data["at"]),
-                "lsn": record.lsn,
-                "migrations": [],
-            }
-        elif record.op == "migrate":
-            if open_sync is not None:
-                open_sync["migrations"].append(record.data)
+            open_sync = record
         elif record.op == "sync_commit":
             if open_sync is None:
                 raise RecoveryError(
                     f"sync_commit at lsn {record.lsn} without sync_begin"
                 )
-            _replay_sync(store, open_sync, record.data)
+            _replay_sync(store, open_sync, record)
             open_sync = None
             report.replayed += 1
         elif record.op == "abort":
             if (
                 open_sync is not None
-                and record.data.get("undoes") == open_sync["lsn"]
+                and record.data.get("undoes") == open_sync.lsn
             ):
                 open_sync = None
                 report.aborted += 1
@@ -860,8 +845,11 @@ def _replay(
                 specification, _dt.date.fromisoformat(record.data["at"])
             )
             report.replayed += 1
-        elif record.op == "reduce":
-            continue  # informational audit record
+        elif record.op in ("reduce", "migrate"):
+            # ``reduce`` is an informational audit record.  ``migrate``,
+            # one per moved fact in older journals, is re-derived by
+            # its ``sync_commit``.
+            continue
         else:
             raise RecoveryError(
                 f"unknown journal op {record.op!r} at lsn {record.lsn}"
@@ -870,24 +858,23 @@ def _replay(
         # sync_begin without sync_commit: the transaction never became
         # durable.  Leave the store at the pre-sync state; the caller
         # can re-run synchronize(at) idempotently.
-        report.interrupted_sync = open_sync["at"]
+        report.interrupted_sync = _dt.date.fromisoformat(open_sync.data["at"])
 
 
 def _replay_sync(
-    store: DurableStore, open_sync: dict, commit: Mapping
+    store: DurableStore, begin: JournalRecord, commit: JournalRecord
 ) -> None:
-    """Physically re-apply a committed synchronization's migrations."""
-    for migration in open_sync["migrations"]:
-        source = store.cube(migration["from"])
-        target = store.cube(migration["to"])
-        source.remove(migration["fact"])
-        target.insert_at_granularity(
-            migration["coordinates"],
-            migration["measures"],
-            Provenance(frozenset(migration["members"])),
-        )
-    store.last_sync = _dt.date.fromisoformat(commit["at"])
-    store.metrics.gauge(SYNC_LAST_EXAMINED).set(
-        int(commit.get("examined", 0))
+    """Re-run a committed synchronization and check it did what the live
+    run journaled: the same per-cube ``moved`` counts and ``examined``."""
+    moved = store.synchronize(
+        _dt.date.fromisoformat(commit.data["at"]),
+        incremental=begin.data["incremental"],
     )
-    store._dirty.clear()
+    examined = int(store.metrics.value(SYNC_LAST_EXAMINED) or 0)
+    journaled = (commit.data["moved"], commit.data["examined"])
+    if (moved, examined) != journaled:
+        raise RecoveryError(
+            f"replaying the sync committed at lsn {commit.lsn} moved "
+            f"{moved} and examined {examined}; the journal records "
+            f"{journaled[0]} and {journaled[1]}"
+        )

@@ -51,7 +51,7 @@ FAILPOINTS: tuple[str, ...] = (
     "snapshot.rename",  # before the atomic rename publishes the snapshot
     "snapshot.manifest",  # before the manifest pointer is replaced
     "load.insert",  # mid bulk-load, after some facts were staged
-    "sync.migrate",  # mid synchronization, after some facts moved
+    "sync.migrate",  # mid synchronization, before each fact moves
 )
 
 #: The failpoint of the sharded batch reducer

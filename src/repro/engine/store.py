@@ -58,26 +58,6 @@ from .telemetry import (  # noqa: E402
 _HELP_LAST_EXAMINED = "Facts the most recent synchronize() examined."
 
 
-@dataclass(frozen=True)
-class Migration:
-    """One fact's planned move between subcubes during synchronization.
-
-    ``coordinates``/``measures``/``provenance`` describe the fact *as it
-    leaves the source cube* (already rolled up to the target
-    granularity); applying the move is ``source.remove(fact_id)``
-    followed by ``target.insert_at_granularity(...)``.  The durable
-    engine journals exactly this payload, so a committed synchronization
-    can be replayed physically, bit for bit.
-    """
-
-    fact_id: str
-    source: str
-    target: str
-    coordinates: Mapping[str, str]
-    measures: Mapping[str, object]
-    provenance: Provenance
-
-
 @dataclass
 class AuditReport:
     """Outcome of a :meth:`SubcubeStore.verify` invariant audit."""
@@ -330,8 +310,6 @@ class SubcubeStore:
         moved: dict[str, int] = {name: 0 for name in self._cubes}
         examined = 0
         skipped = 0
-        dimensions = self._template.dimensions
-        names = self._template.schema.dimension_names
         span_cache: dict[tuple[str, str], tuple[float, float] | None] = {}
         # Facts this run already placed: their target was just computed at
         # *now*, so re-examining them in a later-iterated cube is wasted
@@ -343,7 +321,11 @@ class SubcubeStore:
             try:
                 for cube in self._cubes.values():
                     mo = cube.mo
-                    for fact_id in list(mo.facts()):
+                    # Fact-id order, not insertion order: merges into a
+                    # target cell then happen in one order however the
+                    # cube was built (live, or restored from a snapshot),
+                    # so a replayed sync reproduces even float sums.
+                    for fact_id in sorted(mo.facts()):
                         if fact_id in settled:
                             continue
                         if (
@@ -356,34 +338,17 @@ class SubcubeStore:
                             skipped += 1
                             continue
                         examined += 1
-                        cell = dict(zip(names, mo.direct_cell(fact_id)))
-                        target = self._target_cube(cell, now)
-                        if target.name == cube.name:
+                        placement = self._place(cube, fact_id, now)
+                        if placement is None:
                             continue
-                        coordinates = {
-                            name: _rollup(
-                                dimensions[name], cell[name], category
-                            )
-                            for name, category in zip(
-                                names, target.granularity
-                            )
-                        }
-                        measures = {
-                            measure: mo.measure_value(fact_id, measure)
-                            for measure in mo.schema.measure_names
-                        }
-                        provenance = mo.provenance(fact_id)
+                        target, coordinates, measures, provenance = placement
+                        self._migrate_fault()
+                        undo.record(cube, fact_id)
+                        undo.record(target, target.cell_fact_id(coordinates))
+                        cube.remove(fact_id)
                         settled.add(
-                            self._apply_migration(
-                                Migration(
-                                    fact_id,
-                                    cube.name,
-                                    target.name,
-                                    coordinates,
-                                    measures,
-                                    provenance,
-                                ),
-                                undo,
+                            target.insert_at_granularity(
+                                coordinates, measures, provenance
                             )
                         )
                         moved[target.name] += 1
@@ -476,18 +441,6 @@ class SubcubeStore:
         cache = getattr(self, "_plan_cache", None)
         if cache is not None:
             cache.note_sync(moved, now)
-
-    def _apply_migration(self, migration: Migration, undo: _UndoLog) -> str:
-        """Journal (via hook), undo-record, and apply one migration."""
-        self._journal_migrate(migration)
-        source = self._cubes[migration.source]
-        target = self._cubes[migration.target]
-        undo.record(source, migration.fact_id)
-        undo.record(target, target.cell_fact_id(migration.coordinates))
-        source.remove(migration.fact_id)
-        return target.insert_at_granularity(
-            migration.coordinates, migration.measures, migration.provenance
-        )
 
     def _suspect_regions(self, old: _dt.date, new: _dt.date):
         """Per-dimension day intervals where verdicts may have flipped.
@@ -589,6 +542,41 @@ class SubcubeStore:
         # A "useless" bottom-granularity action group merged into K0.
         return self.bottom_cube
 
+    def _place(
+        self, cube: SubCube, fact_id: str, now: _dt.date
+    ) -> tuple[SubCube, dict[str, str], dict[str, object], Provenance] | None:
+        """Where a fact of *cube* belongs at *now*, rolled up to get there.
+
+        Returns ``(target, coordinates, measures, provenance)`` with the
+        coordinates already at the target's granularity, or ``None`` when
+        *cube* itself is the target.  A target that is not at least as
+        coarse as *cube* raises: a move never disaggregates a fact
+        (irreversibility).
+        """
+        mo = cube.mo
+        schema = self._template.schema
+        names = schema.dimension_names
+        cell = dict(zip(names, mo.direct_cell(fact_id)))
+        target = self._target_cube(cell, now)
+        if target is cube:
+            return None
+        if not schema.le_granularity(cube.granularity, target.granularity):
+            raise EngineError(
+                f"moving fact {fact_id!r} from {cube.name} to {target.name} "
+                "would disaggregate it; the specification violates "
+                "irreversibility"
+            )
+        dimensions = self._template.dimensions
+        coordinates = {
+            name: _rollup(dimensions[name], cell[name], category)
+            for name, category in zip(names, target.granularity)
+        }
+        measures = {
+            measure: mo.measure_value(fact_id, measure)
+            for measure in schema.measure_names
+        }
+        return target, coordinates, measures, mo.provenance(fact_id)
+
     # ------------------------------------------------------------------
     # Specification changes (the infrequent synchronization case)
     # ------------------------------------------------------------------
@@ -623,34 +611,13 @@ class SubcubeStore:
         old_cubes, self._cubes = self._cubes, new_cubes
         try:
             self._bottom_name = self._bottom_cube_name()
-            names = self._template.schema.dimension_names
-            dimensions = self._template.dimensions
             for cube in old_cubes.values():
-                mo = cube.mo
-                for fact_id in mo.facts():
-                    cell = dict(zip(names, mo.direct_cell(fact_id)))
-                    target = self._target_cube(cell, now)
-                    if not self._template.schema.le_granularity(
-                        tuple(
-                            dimensions[name].category_of(cell[name])
-                            for name in names
-                        ),
-                        target.granularity,
-                    ):
-                        raise EngineError(
-                            f"rebuild would disaggregate fact {fact_id!r}; "
-                            "the new specification violates irreversibility"
-                        )
-                    coordinates = {
-                        name: _rollup(dimensions[name], cell[name], category)
-                        for name, category in zip(names, target.granularity)
-                    }
-                    measures = {
-                        measure: mo.measure_value(fact_id, measure)
-                        for measure in mo.schema.measure_names
-                    }
+                for fact_id in sorted(cube.facts()):
+                    target, coordinates, measures, provenance = self._place(
+                        cube, fact_id, now
+                    )
                     target.insert_at_granularity(
-                        coordinates, measures, mo.provenance(fact_id)
+                        coordinates, measures, provenance
                     )
         except BaseException:
             (
@@ -693,13 +660,13 @@ class SubcubeStore:
     def _journal_sync_begin(self, now: _dt.date, incremental: bool) -> None:
         """Called once per synchronization, before any fact moves."""
 
-    def _journal_migrate(self, migration: Migration) -> None:
-        """Called before each migration is applied to the cubes."""
+    def _migrate_fault(self) -> None:
+        """Called before each fact moves (fault-injection hook)."""
 
     def _journal_sync_commit(
         self, now: _dt.date, moved: Mapping[str, int], examined: int
     ) -> None:
-        """The synchronization commit point (after the last migration)."""
+        """The synchronization commit point (after the last fact moved)."""
 
     def _journal_sync_failed(self, exc: BaseException) -> None:
         """Called after a failed synchronization has been rolled back."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ..errors import SpecSyntaxError
-from ..timedim.now import AbsoluteTime, NowRelative, TimeTerm
+from ..timedim.now import NowRelative, TimeTerm
 
 COMPARISON_OPS = ("<", "<=", ">", ">=", "=", "!=")
 
@@ -258,7 +258,9 @@ class ActionSyntax:
 
 
 def _term_str(term: TimeTerm | str) -> str:
-    if isinstance(term, (AbsoluteTime, NowRelative)):
+    # Absolute time literals are quoted like any other value (the
+    # parser reads ``1999/12`` unquoted as a syntax error).
+    if isinstance(term, NowRelative):
         return str(term)
     return f"'{term}'"
 

@@ -1,4 +1,4 @@
-"""Translation of specification predicates to SQL (conservative semantics).
+"""Translation of specification predicates to SQL (Definition 5 semantics).
 
 Each atom compiles to a disjunction over the *possible categories of the
 fact's direct value*: for fact values that roll up to the atom's category
@@ -9,6 +9,10 @@ descendant-closure table (all-below-min for ``<``, none-above-max for
 resolved in Python at translation time — including ``NOW``-terms, so a
 translated predicate is specific to one evaluation time, exactly like the
 paper's synchronization queries.
+
+``NOT`` switches its operand to the *liberal* translation (some drill-down
+value satisfies the atom), as the in-memory evaluator does: a fact
+certainly satisfies ``NOT p`` only when it cannot possibly satisfy ``p``.
 """
 
 from __future__ import annotations
@@ -35,39 +39,48 @@ _OP_SQL = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=", "!=": "<>"}
 
 
 def predicate_to_sql(
-    warehouse: SqlWarehouse, predicate: Predicate, now: _dt.date
+    warehouse: SqlWarehouse,
+    predicate: Predicate,
+    now: _dt.date,
+    liberal: bool = False,
 ) -> tuple[str, list[object]]:
-    """A WHERE-clause fragment (over table alias ``facts``) plus params."""
+    """A WHERE-clause fragment (over table alias ``facts``) plus params.
+
+    Conservative by default; *liberal* selects the facts that might
+    satisfy *predicate*.
+    """
     if isinstance(predicate, TruePredicate):
         return "1 = 1", []
     if isinstance(predicate, FalsePredicate):
         return "0 = 1", []
     if isinstance(predicate, Not):
-        inner, params = predicate_to_sql(warehouse, predicate.operand, now)
+        inner, params = predicate_to_sql(
+            warehouse, predicate.operand, now, not liberal
+        )
         return f"NOT ({inner})", params
     if isinstance(predicate, And):
-        parts, params = _join(warehouse, predicate.operands, now)
+        parts, params = _join(warehouse, predicate.operands, now, liberal)
         return "(" + " AND ".join(parts) + ")", params
     if isinstance(predicate, Or):
-        parts, params = _join(warehouse, predicate.operands, now)
+        parts, params = _join(warehouse, predicate.operands, now, liberal)
         return "(" + " OR ".join(parts) + ")", params
     if isinstance(predicate, Atom):
-        return _atom_to_sql(warehouse, predicate, now)
+        return _atom_to_sql(warehouse, predicate, now, liberal)
     raise StorageError(f"cannot translate predicate {predicate!r}")
 
 
-def _join(warehouse, operands, now):
+def _join(warehouse, operands, now, liberal):
     parts: list[str] = []
     params: list[object] = []
     for operand in operands:
-        sql, sub_params = predicate_to_sql(warehouse, operand, now)
+        sql, sub_params = predicate_to_sql(warehouse, operand, now, liberal)
         parts.append(sql)
         params.extend(sub_params)
     return parts, params
 
 
 def _atom_to_sql(
-    warehouse: SqlWarehouse, atom: Atom, now: _dt.date
+    warehouse: SqlWarehouse, atom: Atom, now: _dt.date, liberal: bool
 ) -> tuple[str, list[object]]:
     name = atom.ref.dimension
     ident = sql_ident(name)
@@ -78,7 +91,12 @@ def _atom_to_sql(
     if category == TOP:
         # ``URL.T op T``: decided entirely in Python.
         ok = _top_atom(atom.op, rights)
-        return ("1 = 1", []) if ok else ("0 = 1", [])
+        if ok:
+            return "1 = 1", []
+        if liberal:
+            # A fact unknown in this dimension might satisfy anything.
+            return f"facts.c_{ident} = ?", [TOP]
+        return "0 = 1", []
 
     hierarchy = dimension.dimension_type.hierarchy
     branches: list[str] = []
@@ -88,11 +106,14 @@ def _atom_to_sql(
             sql, sub = _rollup_branch(ident, fact_category, category, atom.op, rights, dimension)
         else:
             sql, sub = _drilldown_branch(
-                ident, dimension, fact_category, category, atom.op, rights
+                ident, dimension, fact_category, category, atom.op, rights, liberal
             )
         if sql is not None:
             branches.append(sql)
             params.extend(sub)
+    if liberal:
+        branches.append(f"facts.c_{ident} = ?")
+        params.append(TOP)
     if not branches:
         return "0 = 1", []
     return "(" + " OR ".join(branches) + ")", params
@@ -146,79 +167,90 @@ def _drilldown_branch(
     category: str,
     op: str,
     rights: tuple[str, ...],
+    liberal: bool,
 ) -> tuple[str | None, list[object]]:
-    """Fact value is coarser/parallel: Definition 5 via the desc closure."""
+    """Fact value is coarser/parallel: Definition 5 via the desc closure.
+
+    Conservative: every drill-down value of the fact satisfies the atom;
+    liberal: some does.
+    """
     hierarchy = dimension.dimension_type.hierarchy
     glb = hierarchy.glb({fact_category, category})
     extents = [_drill_extent(dimension, value, category, glb) for value in rights]
-    if any(extent is None for extent in extents):
-        return None, []  # conservatively false for this fact category
-
     desc = (
         f"SELECT 1 FROM {ident}_desc x WHERE x.value = facts.d_{ident} "
         f"AND x.category = ?"
     )
     nonempty = f"EXISTS ({desc})"
-    params: list[object] = [fact_category]
+    head = f"facts.c_{ident} = ?"
+    params: list[object] = [fact_category, glb]
+    if any(extent is None for extent in extents):
+        # Undecidable constant: no fact certainly satisfies the atom, every
+        # fact with a drill-down might.
+        if liberal:
+            return f"({head} AND {nonempty})", params
+        return None, []
 
     if op in ("<", "<=", ">", ">="):
         min_key, max_key, _members = extents[0]
-        if op == "<":
-            condition = f"{nonempty} AND NOT EXISTS ({desc} AND x.descendant_key >= ?)"
-            bound = min_key
-        elif op == "<=":
-            condition = f"{nonempty} AND NOT EXISTS ({desc} AND x.descendant_key > ?)"
-            bound = max_key
-        elif op == ">":
-            condition = f"{nonempty} AND NOT EXISTS ({desc} AND x.descendant_key <= ?)"
-            bound = max_key
+        bound = min_key if op in ("<", ">=") else max_key
+        if liberal:
+            condition = f"EXISTS ({desc} AND x.descendant_key {op} ?)"
         else:
-            condition = f"{nonempty} AND NOT EXISTS ({desc} AND x.descendant_key < ?)"
-            bound = min_key
-        params.extend([glb, glb, bound])
-        return f"(facts.c_{ident} = ? AND {condition})", params
-
-    if op == "in":
-        union: set[str] = set()
-        for extent in extents:
-            if not extent[2]:
-                return None, []  # unenumerable constant: conservative false
-            union.update(extent[2])
-        members: frozenset[str] | set[str] = union
-    else:
-        members = extents[0][2]
-    if not members:
-        return None, []  # unenumerable constant: conservative false
-    marks = ", ".join("?" for _ in members)
-    member_list = sorted(members)
-    if op in ("=", "in"):
-        inside = (
-            f"{nonempty} AND NOT EXISTS ({desc} AND x.descendant NOT IN ({marks}))"
-        )
-        params.extend([glb, glb])
-        params.extend(member_list)
-        if op == "=":
-            # Exact set equality: containment + cardinality.
-            count = (
-                f"(SELECT COUNT(*) FROM {ident}_desc x WHERE "
-                f"x.value = facts.d_{ident} AND x.category = ?) = ?"
+            condition = (
+                f"{nonempty} AND NOT EXISTS "
+                f"({desc} AND NOT (x.descendant_key {op} ?))"
             )
-            params.extend([glb, len(member_list)])
-            inside = f"{inside} AND {count}"
-        return f"(facts.c_{ident} = ? AND {inside})", params
-    # op == "!=": some descendant outside, or the sets provably differ.
-    outside = f"EXISTS ({desc} AND x.descendant NOT IN ({marks}))"
-    count_differs = (
+            params.append(glb)
+        params.append(bound)
+        return f"({head} AND {condition})", params
+
+    tests: list[str] = []
+    test_params: list[object] = []
+    for extent in extents:
+        contains, contains_params = _contains(extent)
+        tests.append(contains)
+        test_params.extend(contains_params)
+    witness = " OR ".join(tests)
+    members = extents[0][2]
+    count = (
         f"(SELECT COUNT(*) FROM {ident}_desc x WHERE "
-        f"x.value = facts.d_{ident} AND x.category = ?) <> ?"
+        f"x.value = facts.d_{ident} AND x.category = ?)"
     )
-    params.extend([glb])
-    params.extend(member_list)
-    params.extend([glb, len(member_list)])
-    return (
-        f"(facts.c_{ident} = ? AND ({outside} OR {count_differs}))",
-        params,
-    )
+    if op == "!=":
+        # Some descendant outside, or the sets provably differ.  The
+        # conservative and liberal readings coincide.
+        condition = f"EXISTS ({desc} AND NOT ({witness}))"
+        params.extend(test_params)
+        if members:
+            condition = f"{condition} OR ({nonempty} AND {count} <> ?)"
+            params.extend([glb, glb, len(members)])
+        return f"({head} AND ({condition}))", params
+    if liberal:
+        params.extend(test_params)
+        return f"({head} AND EXISTS ({desc} AND ({witness})))", params
+    if op == "=" and not members:
+        return None, []  # inexact constant: never provably equal
+    condition = f"{nonempty} AND NOT EXISTS ({desc} AND NOT ({witness}))"
+    params.append(glb)
+    params.extend(test_params)
+    if op == "=":
+        # Exact set equality: containment + cardinality.
+        condition = f"{condition} AND {count} = ?"
+        params.extend([glb, len(members)])
+    return f"({head} AND {condition})", params
+
+
+def _contains(
+    extent: tuple[str, str, frozenset[str]]
+) -> tuple[str, list[object]]:
+    """Whether drill-down value ``x`` lies in a constant's extent."""
+    min_key, max_key, members = extent
+    if members:
+        marks = ", ".join("?" for _ in members)
+        return f"x.descendant IN ({marks})", sorted(members)
+    # A time constant known only by its calendar span.
+    return "x.descendant_key BETWEEN ? AND ?", [min_key, max_key]
 
 
 def _drill_extent(

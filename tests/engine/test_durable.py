@@ -3,6 +3,7 @@
 import datetime as dt
 import json
 import os
+import shutil
 import tempfile
 
 import pytest
@@ -23,12 +24,14 @@ from repro.engine.telemetry import JOURNAL_BYTES
 from repro.errors import DurabilityError, RecoveryError, ReproError
 from repro.experiments.paper_example import (
     SNAPSHOT_TIMES,
+    action_a8,
     build_paper_mo,
     paper_specification,
 )
 from repro.io import mo_to_dict
 from repro.serving import SnapshotManager, store_fingerprint
 from repro.spec.action import Action
+from repro.spec.specification import ReductionSpecification
 
 from .durableutil import facts_of, fingerprint, shape
 
@@ -470,6 +473,163 @@ class TestInterruptedSync:
         assert fingerprint(recovered) == fingerprint(clean)
         clean.close()
 
+
+
+def journal_ops(path):
+    records, _, _ = Journal.scan(str(path / JOURNAL_FILE))
+    return [record.op for record in records]
+
+
+#: A store written by the engine version that journaled every moved fact
+#: as a ``migrate`` record.  Its script: create with the paper
+#: specification, load facts 0-3, sync at SNAPSHOT_TIMES[0], snapshot,
+#: load facts 4-6, sync at SNAPSHOT_TIMES[1] and at SNAPSHOT_TIMES[2].
+MIGRATE_JOURNAL_STORE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "migrate_journal_store"
+)
+
+
+class TestLogicalJournal:
+    """A committed sync is journaled as its inputs and replayed by
+    running it again."""
+
+    def test_load_and_sync_journal_only_their_inputs(
+        self, tmp_path, mo, spec
+    ):
+        store = make_store(tmp_path / "d", mo, spec, fsync=False)
+        store.load(facts_of(mo))
+        moved = store.synchronize(SNAPSHOT_TIMES[1])
+        assert sum(moved.values()) > 0
+        store.close()
+        assert journal_ops(tmp_path / "d") == [
+            "load", "sync_begin", "sync_commit"
+        ]
+
+    @pytest.mark.parametrize("field", ["moved", "examined"])
+    def test_a_commit_replay_cannot_reproduce_fails_recovery(
+        self, tmp_path, mo, spec, field
+    ):
+        store = make_store(tmp_path / "d", mo, spec, fsync=False)
+        store.load(facts_of(mo))
+        store.synchronize(SNAPSHOT_TIMES[1])
+        store.close()
+        path = tmp_path / "d" / JOURNAL_FILE
+        lines = path.read_text(encoding="utf-8").splitlines()
+        body = json.loads(lines[-1])
+        del body["crc"]
+        assert body["op"] == "sync_commit"
+        if field == "moved":
+            body["data"]["moved"]["K1"] += 1
+        else:
+            body["data"]["examined"] += 1
+        lines[-1] = json.dumps({**body, "crc": _crc(body)})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(
+            RecoveryError, match=f"sync committed at lsn {body['lsn']} "
+        ):
+            recover(tmp_path / "d")
+
+    def test_journal_with_migrate_records_still_recovers(
+        self, tmp_path, mo, spec
+    ):
+        path = tmp_path / "old"
+        shutil.copytree(MIGRATE_JOURNAL_STORE, path)
+        assert "migrate" in journal_ops(path)
+        recovered, report = recover(path)
+        facts = facts_of(mo)
+        clean = make_store(tmp_path / "clean", mo, spec, fsync=False)
+        clean.load(facts[:4])
+        clean.synchronize(SNAPSHOT_TIMES[0])
+        clean.load(facts[4:])
+        clean.synchronize(SNAPSHOT_TIMES[1])
+        clean.synchronize(SNAPSHOT_TIMES[2])
+        assert report.snapshot_lsn == 3
+        assert report.replayed == 3  # the second load and both syncs
+        assert fingerprint(recovered) == fingerprint(clean)
+        assert recovered.verify(strict=True).ok
+        recovered.close()
+        clean.close()
+
+    def test_replayed_float_sums_are_bit_for_bit(self, tmp_path, mo, spec):
+        # Three day cells of one (month, domain) cell, loaded out of
+        # fact-id order with measures whose float sum depends on the
+        # order they are added in.
+        _, _, row = facts_of(mo)[0]
+        facts = [
+            (
+                fact_id,
+                {"Time": day, "URL": url},
+                {**row, "Dwell_time": dwell},
+            )
+            for fact_id, day, url, dwell in (
+                ("c", "1999/12/31", "http://www.cnn.com/", 0.1),
+                ("a", "1999/12/4", "http://www.cnn.com/", 0.2),
+                ("b", "1999/12/4", "http://www.cnn.com/health", 0.3),
+            )
+        ]
+        store = make_store(tmp_path / "d", mo, spec, fsync=False)
+        store.load(facts)
+        store.snapshot()
+        store.synchronize(SNAPSHOT_TIMES[1])
+        expected = fingerprint(store)
+        store.close()
+        recovered, report = recover(tmp_path / "d")
+        assert report.replayed == 1
+        assert fingerprint(recovered) == expected
+        recovered.close()
+
+
+class TestAbsoluteTimeSpecification:
+    """A specification with an absolute time literal (the paper's a8,
+    ``Time.month <= '1999/12'``) survives every place its text is
+    written: spec.txt, snapshot headers and rebuild records."""
+
+    def test_store_reopens(self, tmp_path, mo, spec):
+        with_a8 = spec.insert([action_a8(mo)])
+        store = make_store(tmp_path / "d", mo, with_a8, fsync=False)
+        store.load(facts_of(mo))
+        store.synchronize(SNAPSHOT_TIMES[1])
+        store.snapshot()
+        expected = fingerprint(store)
+        store.close()
+        recovered, _ = recover(tmp_path / "d")
+        assert fingerprint(recovered) == expected
+        assert recovered.specification.action_names == with_a8.action_names
+        recovered.close()
+
+    def test_store_reopens_from_spec_txt(self, tmp_path, mo):
+        only_a8 = ReductionSpecification((action_a8(mo),), mo.dimensions)
+        make_store(tmp_path / "d", mo, only_a8, fsync=False).close()
+        recovered, _ = recover(tmp_path / "d")
+        assert recovered.specification.action_names == ("a8",)
+        recovered.close()
+
+    @pytest.mark.parametrize("crash", [None, "snapshot.write"])
+    def test_crash_after_rebuild_recovers(self, tmp_path, mo, spec, crash):
+        faults = FaultInjector()
+        store = make_store(tmp_path / "d", mo, spec, faults=faults)
+        store.load(facts_of(mo))
+        store.synchronize(SNAPSHOT_TIMES[1])
+        with_a8 = spec.insert([action_a8(mo)])
+        if crash is None:
+            store.rebuild(with_a8, SNAPSHOT_TIMES[1])
+        else:
+            # The rebuild record is durable, its snapshot never written:
+            # recovery re-runs the rebuild from the record's spec text.
+            faults.arm(crash)
+            with pytest.raises(InjectedFault):
+                store.rebuild(with_a8, SNAPSHOT_TIMES[1])
+        expected = fingerprint(store)
+        store.close()  # the fd only: the process "dies" here
+        recovered, report = recover(tmp_path / "d")
+        if crash is None:
+            assert report.snapshot_lsn == recovered.journal_lsn
+        else:
+            assert report.snapshot_lsn is None
+        assert fingerprint(recovered) == expected
+        assert recovered.specification.action_names == with_a8.action_names
+        assert recovered.verify(strict=True).ok
+        recovered.close()
 
 
 class TestRetiredJournalOps:

@@ -235,7 +235,7 @@ class _ExplodingStore(SubcubeStore):
         self.fail_after = None
         self.migrations = 0
 
-    def _journal_migrate(self, migration):
+    def _migrate_fault(self):
         self.migrations += 1
         if self.fail_after is not None and self.migrations > self.fail_after:
             raise RuntimeError("simulated mid-sync failure")

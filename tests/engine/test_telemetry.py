@@ -138,10 +138,10 @@ class TestSyncInvariants:
         examined_before = value(store, SYNC_EXAMINED)
         runs_before = value(store, SYNC_RUNS, {"mode": "full"})
 
-        def boom(migration, undo):
+        def boom():
             raise EngineError("injected migration failure")
 
-        monkeypatch.setattr(store, "_apply_migration", boom)
+        monkeypatch.setattr(store, "_migrate_fault", boom)
         with pytest.raises(EngineError, match="injected"):
             store.synchronize(SNAPSHOT_TIMES[2])
         # Rolled-back runs leave every counter and gauge untouched.

@@ -36,6 +36,12 @@ PREDICATES = [
     "URL.domain_grp = '.com' OR Time.year = '2000'",
     "NOT URL.domain_grp = '.com'",
     "NOT (URL.domain_grp = '.com' AND Time.month <= NOW - 6 months)",
+    "NOT Time.month <= '1999/12'",
+    "NOT Time.month = '1999/12'",
+    "NOT Time.week <= '1999W48'",
+    "NOT Time.week != '2000W01'",
+    "NOT URL.domain IN {'cnn.com', 'gatech.edu'}",
+    "NOT NOT Time.quarter <= NOW - 4 quarters",
     "TRUE",
     "FALSE",
     "URL.T = T",
