@@ -50,7 +50,8 @@ class ColumnarFactTable:
     ) -> None:
         self.schema = schema
         self.dimensions = dict(dimensions)
-        names = schema.dimension_names
+        names = self.dimension_names = schema.dimension_names
+        self.measure_names = schema.measure_names
         self.fact_ids: list[str] = []
         self.provenances: list[Provenance] = []
         #: Per-dimension integer code columns (one code per row).
@@ -76,48 +77,40 @@ class ColumnarFactTable:
     def from_mo(cls, mo) -> "ColumnarFactTable":
         """Column-encode every fact of *mo* in iteration order."""
         table = cls(mo.schema, mo.dimensions)
-        names = mo.schema.dimension_names
+        table.append_facts(mo, list(mo._facts))
+        return table
+
+    def append_facts(self, mo, fact_ids: Sequence[str]) -> int:
+        """Column-encode the given facts of *mo*, in the given order.
+
+        *mo* shares this table's schema and dimensions; measure values
+        and provenance objects are shared, not copied.  Returns the
+        number of rows appended.
+        """
         # Same-package fast path: read the relation/measure dicts directly
         # instead of paying a method call per (fact, column) pair.
-        encoders = [
-            (
-                mo.relations[name]._value_of,
-                table.codes[name],
-                table._values[name],
-                table._indexes[name],
+        for name in self.dimension_names:
+            value_of = mo.relations[name]._value_of
+            self.extend_codes(name, [value_of[fact_id] for fact_id in fact_ids])
+        for name in self.measure_names:
+            values = mo.measures[name]._values
+            self.measure_columns[name].extend(
+                [values[fact_id] for fact_id in fact_ids]
             )
-            for name in names
-        ]
-        measure_pairs = [
-            (mo.measures[name]._values, table.measure_columns[name])
-            for name in mo.schema.measure_names
-        ]
         provenances = mo._facts
-        fact_ids = table.fact_ids
-        fact_ids.extend(provenances)
-        table.provenances.extend(provenances.values())
-        for value_of, column, values, index in encoders:
-            append = column.append
-            for fact_id in fact_ids:
-                value = value_of[fact_id]
-                code = index.get(value)
-                if code is None:
-                    code = len(values)
-                    index[value] = code
-                    values.append(value)
-                append(code)
-        for value_map, column_m in measure_pairs:
-            column_m.extend(value_map[fact_id] for fact_id in fact_ids)
-        return table
+        self.fact_ids.extend(fact_ids)
+        self.provenances.extend([provenances[fact_id] for fact_id in fact_ids])
+        return len(fact_ids)
 
     def extend_codes(self, dimension_name: str, values: Iterable[str]) -> int:
         """Append one interned code per value to a dimension's code column.
 
-        The batch form of the per-fact interning loop in :meth:`from_mo`:
-        values are canonical dimension values (callers validate), codes
-        are assigned first-seen order.  Cached roll-up columns for the
-        dimension are extended in place for any values the interner has
-        not seen before, so a warm cache survives appends.
+        The interning loop behind :meth:`append_facts` and
+        :meth:`append_rows`: values are canonical dimension values
+        (callers validate), codes are assigned first-seen order.  Cached
+        roll-up columns for the dimension are extended in place for any
+        values the interner has not seen before, so a warm cache survives
+        appends.
         """
         column = self.codes[dimension_name]
         interner = self._values[dimension_name]
@@ -244,14 +237,16 @@ class ColumnarFactTable:
     def row_cell(self, row: int) -> tuple[str, ...]:
         """The direct cell (value tuple) of one row."""
         return tuple(
-            self._values[name][self.codes[name][row]]
-            for name in self.schema.dimension_names
+            [
+                self._values[name][self.codes[name][row]]
+                for name in self.dimension_names
+            ]
         )
 
     def row_measures(self, row: int) -> dict[str, object]:
         return {
             name: self.measure_columns[name][row]
-            for name in self.schema.measure_names
+            for name in self.measure_names
         }
 
     # ------------------------------------------------------------------

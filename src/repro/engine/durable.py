@@ -330,12 +330,17 @@ class DurableStore(SubcubeStore):
         faults: FaultInjector | None = None,
         metrics: obs_metrics.MetricsRegistry | None = None,
     ) -> "DurableStore":
-        """Initialize a fresh durable store directory."""
+        """Initialize a fresh durable store directory.
+
+        A specification that :func:`open_durable` could not read back
+        is refused before anything is written.
+        """
         journal_path = os.path.join(path, JOURNAL_FILE)
         if os.path.exists(journal_path):
             raise DurabilityError(
                 f"{path!r} already holds a durable store; use open_durable()"
             )
+        _check_reopens(specification, template)
         os.makedirs(os.path.join(path, SNAPSHOT_DIR), exist_ok=True)
         with atomic_write(os.path.join(path, META_FILE), fsync=fsync) as s:
             json.dump({"format": FORMAT_VERSION}, s)
@@ -481,6 +486,15 @@ class DurableStore(SubcubeStore):
         # the new cube set the recovery baseline and spares recovery it.
         self.snapshot()
 
+    def rebuild(
+        self, specification: ReductionSpecification, now: _dt.date
+    ) -> None:
+        """:meth:`SubcubeStore.rebuild`, refusing (before it changes the
+        store or the journal) a specification recovery could not read."""
+        if not self._replaying:
+            _check_reopens(specification, self._template)
+        super().rebuild(specification, now)
+
     def record_reduce(self, at: _dt.date, **info: object) -> int:
         """Journal a ``reduce`` audit record (CLI ``reduce --durable``)."""
         return self._journal.append(
@@ -565,6 +579,27 @@ class DurableStore(SubcubeStore):
         if sources is None:
             sources = self._source_measures
         return super().verify(sources, strict=strict)
+
+
+def _check_reopens(
+    specification: ReductionSpecification,
+    template: MultidimensionalObject,
+) -> None:
+    """The admission gate of a durable store's specification: its text
+    must load back, evaluability enforced, against the store's schema
+    and dimensions — exactly what recovery will do with it."""
+    text = _stdio.StringIO()
+    dump_specification(specification, text)
+    try:
+        load_specification(
+            _stdio.StringIO(text.getvalue()),
+            template.schema,
+            template.dimensions,
+        )
+    except ReproError as exc:
+        raise DurabilityError(
+            f"specification would not reopen from the store: {exc}"
+        ) from exc
 
 
 def _resolve_faults(faults: FaultInjector | None) -> FaultInjector:

@@ -4,11 +4,13 @@ New data enters the bottom-granularity cube; synchronization migrates
 facts between cubes as ``NOW`` advances (Section 7.2); queries run against
 all cubes and combine (Section 7.3, in :mod:`repro.engine.queryproc`).
 
-Fact-to-cube assignment uses the responsibility semantics directly: a
-fact belongs to the granularity group that is ``<=_V``-maximal among the
-actions whose (raw) predicate its cell satisfies — the same ``Cell``
-machinery as the monolithic reducer, which is what makes the store
-provably equivalent to ``reduce_mo`` (property-tested).
+A fact belongs to the granularity group that is ``<=_V``-maximal among
+the actions whose (raw) predicate its cell satisfies.  Every
+synchronization, and ``rebuild``, places its candidate facts in one batch
+pass over the reduce kernel's columnar table: admission once per distinct
+cell with the kernel's own stage, the target cube once per
+admitted-action bit pattern, one fold per target cell.  That is what
+keeps the store equivalent to ``reduce_mo`` (property-tested).
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ import datetime as _dt
 import time
 import types
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
+from ..core.columnar import ColumnarFactTable
 from ..core.dimension import ALL_VALUE
-from ..core.facts import Provenance
+from ..core.facts import Provenance, aggregate_fact_id
 from ..core.hierarchy import TOP
 from ..core.mo import MultidimensionalObject
 from ..errors import AuditError, EngineError, ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from ..spec.predicate import cell_satisfies
+from ..reduction.columnar import admit_cells
 from ..spec.ranges import GRANULE_DAYS
 from ..spec.specification import ReductionSpecification
 from ..timedim.calendar import first_day, last_day
@@ -121,6 +124,18 @@ class _UndoLog:
             )
         else:
             self._before[key] = None
+
+    def record_row(
+        self, cube: SubCube, fact_id: str, table: ColumnarFactTable, row: int
+    ) -> None:
+        """:meth:`record` for a fact whose state is *table*'s *row*."""
+        key = (cube.name, fact_id)
+        if key not in self._before:
+            self._before[key] = (
+                dict(zip(table.dimension_names, table.row_cell(row))),
+                table.row_measures(row),
+                table.provenances[row],
+            )
 
     def rollback(self, store: "SubcubeStore") -> None:
         for (cube_name, fact_id), before in self._before.items():
@@ -308,51 +323,30 @@ class SubcubeStore:
         mode = "incremental" if regions is not None else "full"
         self._journal_sync_begin(now, incremental)
         moved: dict[str, int] = {name: 0 for name in self._cubes}
-        examined = 0
-        skipped = 0
-        span_cache: dict[tuple[str, str], tuple[float, float] | None] = {}
-        # Facts this run already placed: their target was just computed at
-        # *now*, so re-examining them in a later-iterated cube is wasted
-        # work (and would double-count the examined metric).
-        settled: set[str] = set()
         undo = _UndoLog()
         started = time.perf_counter()
         with trace.span("sync.run", mode=mode) as sync_span:
             try:
-                for cube in self._cubes.values():
-                    mo = cube.mo
-                    # Fact-id order, not insertion order: merges into a
-                    # target cell then happen in one order however the
-                    # cube was built (live, or restored from a snapshot),
-                    # so a replayed sync reproduces even float sums.
-                    for fact_id in sorted(mo.facts()):
-                        if fact_id in settled:
-                            continue
-                        if (
-                            regions is not None
-                            and fact_id not in self._dirty
-                            and not self._needs_examination(
-                                mo, fact_id, regions, span_cache
-                            )
-                        ):
-                            skipped += 1
-                            continue
-                        examined += 1
-                        placement = self._place(cube, fact_id, now)
-                        if placement is None:
-                            continue
-                        target, coordinates, measures, provenance = placement
+                with trace.span("sync.plan") as plan_span:
+                    placement = self._plan_placement(
+                        self._visiting_order(regions), now
+                    )
+                    plan_span.set_attribute("candidates", len(placement.table))
+                    plan_span.set_attribute(
+                        "distinct_cells", placement.distinct_cells
+                    )
+                with trace.span("sync.apply", groups=len(placement.groups)):
+                    # Every source leaves before any target cell folds, so
+                    # a fact that is both follows its own plan.
+                    table = placement.table
+                    for cube, fact_id, row in placement.sources:
                         self._migrate_fault()
-                        undo.record(cube, fact_id)
-                        undo.record(target, target.cell_fact_id(coordinates))
+                        undo.record_row(cube, fact_id, table, row)
                         cube.remove(fact_id)
-                        settled.add(
-                            target.insert_at_granularity(
-                                coordinates, measures, provenance
-                            )
-                        )
-                        moved[target.name] += 1
-                self._journal_sync_commit(now, moved, examined)
+                    self._fold_groups(placement, undo)
+                for (target, _), rows in placement.groups.items():
+                    moved[target.name] += len(rows)
+                self._journal_sync_commit(now, moved, placement.examined)
             except BaseException as exc:
                 # Roll every staged migration back: the store is never
                 # observably half-migrated, and a retry starts from the
@@ -364,14 +358,14 @@ class SubcubeStore:
             self.last_sync = now
             self._dirty.clear()
             self._invalidate_query_plans(moved, now)
-            sync_span.set_attribute("examined", examined)
+            sync_span.set_attribute("examined", placement.examined)
             sync_span.set_attribute("migrated", sum(moved.values()))
-            sync_span.set_attribute("skipped", skipped)
+            sync_span.set_attribute("skipped", placement.skipped)
         self._record_sync(
             mode,
-            examined,
+            placement.examined,
             sum(moved.values()),
-            skipped,
+            placement.skipped,
             len(undo),
             time.perf_counter() - started,
         )
@@ -517,65 +511,181 @@ class SubcubeStore:
                     return True
         return False
 
-    def _target_cube(self, cell: Mapping[str, str], now: _dt.date) -> SubCube:
-        """The cube responsible for a cell at *now*: the ``<=_V``-maximal
-        granularity among satisfied actions, else the bottom cube."""
-        schema = self._template.schema
-        dimensions = self._template.dimensions
-        best: tuple[str, ...] | None = None
-        for action in self._specification.actions:
-            if not cell_satisfies(dimensions, cell, action.predicate, now):
-                continue
-            if best is None or schema.le_granularity(best, action.cat()):
-                best = action.cat()
-            elif not schema.le_granularity(action.cat(), best):
-                raise EngineError(
-                    f"cell {dict(cell)!r} is claimed by incomparable "
-                    f"granularities {best!r} and {action.cat()!r}; the "
-                    "specification is crossing"
-                )
-        if best is None:
-            return self.bottom_cube
-        for definition in self._definitions:
-            if definition.granularity == best and not definition.is_residual:
-                return self._cubes[definition.name]
-        # A "useless" bottom-granularity action group merged into K0.
-        return self.bottom_cube
+    def _visiting_order(
+        self, regions: SuspectRegions
+    ) -> list[tuple[SubCube, list[str], list[str]]]:
+        """Per cube, in cube order: the facts to place and the facts the
+        suspect-region analysis skips (``regions`` ``None``: none)."""
+        batches = []
+        span_cache: dict[tuple[str, str], tuple[float, float] | None] = {}
+        for cube in self._cubes.values():
+            mo = cube.mo
+            # Fact-id order, not insertion order: merges into a target
+            # cell then happen in one order however the cube was built
+            # (live, or restored from a snapshot), so a replayed sync
+            # reproduces even float sums.
+            candidates: list[str] = []
+            skippable: list[str] = []
+            for fact_id in sorted(mo.facts()):
+                if (
+                    regions is not None
+                    and fact_id not in self._dirty
+                    and not self._needs_examination(
+                        mo, fact_id, regions, span_cache
+                    )
+                ):
+                    skippable.append(fact_id)
+                else:
+                    candidates.append(fact_id)
+            batches.append((cube, candidates, skippable))
+        return batches
 
-    def _place(
-        self, cube: SubCube, fact_id: str, now: _dt.date
-    ) -> tuple[SubCube, dict[str, str], dict[str, object], Provenance] | None:
-        """Where a fact of *cube* belongs at *now*, rolled up to get there.
+    def _plan_placement(
+        self,
+        batches: list[tuple[SubCube, list[str], list[str]]],
+        now: _dt.date,
+    ) -> "_Placement":
+        """Where every candidate fact belongs at *now*; nothing moves.
 
-        Returns ``(target, coordinates, measures, provenance)`` with the
-        coordinates already at the target's granularity, or ``None`` when
-        *cube* itself is the target.  A target that is not at least as
-        coarse as *cube* raises: a move never disaggregates a fact
-        (irreversibility).
+        *batches* lists, per cube in visiting order, the facts to place
+        (in fact-id order) and the facts left unexamined.  The candidates
+        are encoded into one columnar table and admitted once per
+        distinct cell by the reduce kernel's own admission stage
+        (:func:`~repro.reduction.columnar.admit_cells`); the target cube
+        is picked once per admitted-action bit pattern, and codes roll up
+        through the table's cached ancestor columns.
+
+        The result is what placing the facts one at a time in visiting
+        order produces.  A fact whose cube is its target stays.  A fact
+        that a move from an earlier-visited cube merges into is settled:
+        neither examined nor skipped, it stays where it is.  A crossing
+        specification, a move that would disaggregate a fact
+        (irreversibility) and a value that cannot roll up raise at the
+        first examined fact they concern, before any fact moves.
         """
-        mo = cube.mo
         schema = self._template.schema
         names = schema.dimension_names
-        cell = dict(zip(names, mo.direct_cell(fact_id)))
-        target = self._target_cube(cell, now)
-        if target is cube:
-            return None
-        if not schema.le_granularity(cube.granularity, target.granularity):
-            raise EngineError(
-                f"moving fact {fact_id!r} from {cube.name} to {target.name} "
-                "would disaggregate it; the specification violates "
-                "irreversibility"
+        actions = list(self._specification.actions)
+        table = ColumnarFactTable(schema, self._template.dimensions)
+        for cube, candidates, _ in batches:
+            table.append_facts(cube.mo, candidates)
+        inverse, distinct = table.distinct_cells()
+        admitted = admit_cells(table, distinct, actions, now)
+        decisions: dict[tuple[bool, ...], object] = {}
+        responsible: list[object] = []
+        for bits in zip(*admitted) if admitted else [()] * len(distinct):
+            target = decisions.get(bits)
+            if target is None:
+                target = decisions[bits] = self._responsible_cube(
+                    actions, bits
+                )
+            responsible.append(target)
+
+        target_cells: dict[int, tuple[str, ...]] = {}
+        coarsening: set[tuple[SubCube, SubCube]] = set()
+        settled: set[tuple[SubCube, str]] = set()
+        sources: list[tuple[SubCube, str, int]] = []
+        groups: dict[tuple[SubCube, tuple[str, ...]], list[int]] = {}
+        examined = skipped = 0
+        fact_ids = table.fact_ids
+        start = 0
+        for cube, candidates, skippable in batches:
+            skipped += sum(1 for f in skippable if (cube, f) not in settled)
+            for row in range(start, start + len(candidates)):
+                fact_id = fact_ids[row]
+                if (cube, fact_id) in settled:
+                    continue
+                examined += 1
+                cell_index = inverse[row]
+                target = responsible[cell_index]
+                if target is cube:
+                    continue
+                if not isinstance(target, SubCube):
+                    cell = {
+                        name: table.decode(name, code)
+                        for name, code in zip(names, distinct[cell_index])
+                    }
+                    raise EngineError(
+                        f"cell {cell!r} is claimed by incomparable "
+                        f"granularities {target[0]!r} and {target[1]!r}; "
+                        "the specification is crossing"
+                    )
+                if (cube, target) not in coarsening:
+                    if not schema.le_granularity(
+                        cube.granularity, target.granularity
+                    ):
+                        raise EngineError(
+                            f"moving fact {fact_id!r} from {cube.name} to "
+                            f"{target.name} would disaggregate it; the "
+                            "specification violates irreversibility"
+                        )
+                    coarsening.add((cube, target))
+                cell = target_cells.get(cell_index)
+                if cell is None:
+                    cell = target_cells[cell_index] = _rolled_up(
+                        table, names, distinct[cell_index], target.granularity
+                    )
+                rows = groups.get((target, cell))
+                if rows is None:
+                    rows = groups[(target, cell)] = []
+                    settled.add(
+                        (target, aggregate_fact_id((target.name, *cell)))
+                    )
+                rows.append(row)
+                sources.append((cube, fact_id, row))
+            start += len(candidates)
+        return _Placement(
+            table, sources, groups, examined, skipped, len(distinct)
+        )
+
+    def _responsible_cube(
+        self, actions: list, bits: tuple[bool, ...]
+    ) -> "SubCube | tuple[tuple[str, ...], tuple[str, ...]]":
+        """The cube responsible for a cell the actions flagged in *bits*
+        admit: the ``<=_V``-maximal granularity among them, else the bottom
+        cube.  An incomparable pair (a crossing specification) is
+        returned, for :meth:`_plan_placement` to raise on."""
+        schema = self._template.schema
+        best: tuple[str, ...] | None = None
+        for action, bit in zip(actions, bits):
+            if not bit:
+                continue
+            granularity = action.cat()
+            if best is None or schema.le_granularity(best, granularity):
+                best = granularity
+            elif not schema.le_granularity(granularity, best):
+                return best, granularity
+        if best is not None:
+            for definition in self._definitions:
+                if definition.granularity == best and not definition.is_residual:
+                    return self._cubes[definition.name]
+        # No action claims the cell, or a "useless" bottom-granularity
+        # action group merged into K0.
+        return self.bottom_cube
+
+    def _fold_groups(
+        self, placement: "_Placement", undo: _UndoLog | None = None
+    ) -> None:
+        """Fold every planned group into its target cell, once each.
+
+        Groups fold in the order of their last row, which leaves every
+        cube's facts in the insertion order a one-at-a-time placement
+        would leave.
+        """
+        table = placement.table
+        names = table.dimension_names
+        provenances = table.provenances
+        for (target, cell), rows in sorted(
+            placement.groups.items(), key=lambda item: item[1][-1]
+        ):
+            coordinates = dict(zip(names, cell))
+            if undo is not None:
+                undo.record(target, target.cell_fact_id(coordinates))
+            target.fold_at_granularity(
+                coordinates,
+                [table.row_measures(row) for row in rows],
+                [provenances[row] for row in rows],
             )
-        dimensions = self._template.dimensions
-        coordinates = {
-            name: _rollup(dimensions[name], cell[name], category)
-            for name, category in zip(names, target.granularity)
-        }
-        measures = {
-            measure: mo.measure_value(fact_id, measure)
-            for measure in schema.measure_names
-        }
-        return target, coordinates, measures, mo.provenance(fact_id)
 
     # ------------------------------------------------------------------
     # Specification changes (the infrequent synchronization case)
@@ -611,14 +721,15 @@ class SubcubeStore:
         old_cubes, self._cubes = self._cubes, new_cubes
         try:
             self._bottom_name = self._bottom_cube_name()
-            for cube in old_cubes.values():
-                for fact_id in sorted(cube.facts()):
-                    target, coordinates, measures, provenance = self._place(
-                        cube, fact_id, now
-                    )
-                    target.insert_at_granularity(
-                        coordinates, measures, provenance
-                    )
+            self._fold_groups(
+                self._plan_placement(
+                    [
+                        (cube, sorted(cube.facts()), [])
+                        for cube in old_cubes.values()
+                    ],
+                    now,
+                )
+            )
         except BaseException:
             (
                 self._specification,
@@ -819,14 +930,37 @@ def _values_equal(actual: object, expected: object) -> bool:
     return False
 
 
-def _rollup(dimension, value: str, category: str) -> str:
-    value = dimension.normalize_value(value)
-    ancestor = dimension.try_ancestor_at(value, category)
-    if ancestor is None:
-        raise EngineError(
-            f"{dimension.name}: cannot roll {value!r} up to {category!r}"
-        )
-    return ancestor
+class _Placement(NamedTuple):
+    """A planned placement (see :meth:`SubcubeStore._plan_placement`)."""
+
+    #: The candidate facts, one row each, in visiting order.
+    table: ColumnarFactTable
+    #: Facts that move, as ``(cube, fact id, row)`` in visiting order.
+    sources: list[tuple[SubCube, str, int]]
+    #: ``(target cube, target cell)`` -> the rows folding into it.
+    groups: dict[tuple[SubCube, tuple[str, ...]], list[int]]
+    examined: int
+    skipped: int
+    distinct_cells: int
+
+
+def _rolled_up(
+    table: ColumnarFactTable,
+    names: tuple[str, ...],
+    cell: tuple[int, ...],
+    granularity: tuple[str, ...],
+) -> tuple[str, ...]:
+    """A distinct cell of *table* rolled up to *granularity*."""
+    values = []
+    for name, category, code in zip(names, granularity, cell):
+        ancestor = table.rollup_column(name, category)[code]
+        if ancestor is None:
+            raise EngineError(
+                f"{name}: cannot roll {table.decode(name, code)!r} up to "
+                f"{category!r}"
+            )
+        values.append(ancestor)
+    return tuple(values)
 
 
 def _value_day_span(dimension, value: str) -> tuple[float, float] | None:

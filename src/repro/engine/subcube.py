@@ -8,7 +8,7 @@ evaluation time) exactly which cells it owns.
 from __future__ import annotations
 
 import zlib
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from ..core.facts import Provenance, aggregate_fact_id
 from ..core.mo import MultidimensionalObject
@@ -114,6 +114,21 @@ class SubCube:
         cell aggregates the measures — the "one final aggregation" step of
         Section 7.2 when a cube has several parents.
         """
+        return self.fold_at_granularity(coordinates, [measures], [provenance])
+
+    def fold_at_granularity(
+        self,
+        coordinates: Mapping[str, str],
+        rows: Sequence[Mapping[str, object]],
+        provenances: Sequence[Provenance],
+    ) -> str:
+        """Fold measure *rows* (with their *provenances*) into the fact
+        owning the given cell, deleting and inserting it once.
+
+        The cell's existing fact folds first, then the rows in order,
+        pairwise: the values a chain of single inserts produces, even
+        for float sums, whatever the Python version's ``sum`` does.
+        """
         mo = self._mo
         schema = mo.schema
         cell = self._normalized_cell(coordinates)
@@ -127,27 +142,30 @@ class SubCube:
                 )
         fact_id = aggregate_fact_id((self.name, *cell))
         if fact_id in mo:
-            merged = {
-                measure_name: mo.measures[measure_name].aggregate(
-                    [mo.measure_value(fact_id, measure_name), measures[measure_name]]
-                )
-                for measure_name in schema.measure_names
+            existing = {
+                name: mo.measure_value(fact_id, name)
+                for name in schema.measure_names
             }
-            existing_provenance = mo.provenance(fact_id)
+            rows = [existing, *rows]
+            provenances = [mo.provenance(fact_id), *provenances]
             mo.delete_fact(fact_id)
-            mo.insert_aggregate_fact(
-                fact_id,
-                dict(zip(schema.dimension_names, cell)),
-                merged,
-                existing_provenance.merge(provenance),
-            )
+        if len(rows) == 1:
+            folded = dict(rows[0])
+            provenance = provenances[0]
         else:
-            mo.insert_aggregate_fact(
-                fact_id,
-                dict(zip(schema.dimension_names, cell)),
-                dict(measures),
-                provenance,
+            folded = {}
+            for name in schema.measure_names:
+                aggregate = mo.measures[name].aggregate
+                value = rows[0][name]
+                for row in rows[1:]:
+                    value = aggregate([value, row[name]])
+                folded[name] = value
+            provenance = Provenance(
+                frozenset().union(*[p.members for p in provenances])
             )
+        mo.insert_aggregate_fact(
+            fact_id, dict(zip(schema.dimension_names, cell)), folded, provenance
+        )
         return fact_id
 
     def remove(self, fact_id: str) -> None:

@@ -17,7 +17,8 @@ restructures the whole pass around the columnar fact table
 
 The output is bit-for-bit identical to ``reduce_mo`` (property-tested):
 same facts, same ids, same provenance, same measure fold order, same
-crossing-specification error.
+crossing-specification error.  Stages 1-3 (:func:`admit_cells`) also
+place the subcube store's facts when it synchronizes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import datetime as _dt
 from typing import Callable, Iterable, Mapping
 
+from ..core.columnar import ColumnarFactTable
 from ..core.facts import Provenance, aggregate_fact_id
 from ..core.mo import MultidimensionalObject
 from ..errors import SpecSemanticsError
@@ -155,19 +157,8 @@ def _columnar_plan(
         encode_span.set_attribute("rows", len(inverse))
         encode_span.set_attribute("distinct_cells", n_cells)
 
-    # Batch admission: one boolean vector per action over distinct cells.
     with trace.span("reduce.columnar.admit", actions=len(actions)):
-        admitted: list[list[bool]] = []
-        for action in actions:
-            conjuncts = _conjunct_predicates(action, mo.dimensions, now)
-            if not conjuncts:
-                admitted.append([False] * n_cells)
-                continue
-            verdict = table.conjunct_mask(distinct, conjuncts[0])
-            for predicates in conjuncts[1:]:
-                mask = table.conjunct_mask(distinct, predicates)
-                verdict = [a or b for a, b in zip(verdict, mask)]
-            admitted.append(verdict)
+        admitted = admit_cells(table, distinct, actions, now)
 
     # Per-action admission telemetry: each distinct cell's verdict counts
     # once per row mapping to it, so the totals equal the per-fact counts
@@ -250,6 +241,32 @@ def _columnar_plan(
             targets.append(tuple(values_out))
         plan_span.set_attribute("decisions", len(decisions))
     return table, inverse, targets, admitted_counts
+
+
+def admit_cells(
+    table: ColumnarFactTable,
+    distinct: list[tuple[int, ...]],
+    actions: list[Action],
+    now: _dt.date,
+) -> list[list[bool]]:
+    """Batch admission: one verdict vector per action over *distinct*.
+
+    ``admit_cells(...)[a][c]`` says whether distinct cell ``c`` (a code
+    tuple of *table*) satisfies action ``a``'s predicate at *now*.  The
+    subcube store places its facts with this same stage.
+    """
+    admitted: list[list[bool]] = []
+    for action in actions:
+        conjuncts = _conjunct_predicates(action, table.dimensions, now)
+        if not conjuncts:
+            admitted.append([False] * len(distinct))
+            continue
+        verdict = table.conjunct_mask(distinct, conjuncts[0])
+        for predicates in conjuncts[1:]:
+            mask = table.conjunct_mask(distinct, predicates)
+            verdict = [a or b for a, b in zip(verdict, mask)]
+        admitted.append(verdict)
+    return admitted
 
 
 def _conjunct_predicates(

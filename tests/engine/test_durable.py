@@ -24,6 +24,8 @@ from repro.engine.telemetry import JOURNAL_BYTES
 from repro.errors import DurabilityError, RecoveryError, ReproError
 from repro.experiments.paper_example import (
     SNAPSHOT_TIMES,
+    action_a2,
+    action_a4,
     action_a8,
     build_paper_mo,
     paper_specification,
@@ -629,6 +631,38 @@ class TestAbsoluteTimeSpecification:
         assert fingerprint(recovered) == expected
         assert recovered.specification.action_names == with_a8.action_names
         assert recovered.verify(strict=True).ok
+        recovered.close()
+
+
+class TestSpecificationAdmission:
+    """A specification recovery could not read back never enters a
+    durable store: the paper's a4 is built without the evaluability check
+    the specification loader enforces."""
+
+    def test_create_refuses_and_writes_nothing(self, tmp_path, mo):
+        only_a4 = ReductionSpecification((action_a4(mo),), mo.dimensions)
+        with pytest.raises(DurabilityError, match="would not reopen"):
+            make_store(tmp_path / "d", mo, only_a4)
+        for name in (JOURNAL_FILE, "spec.txt"):
+            assert not os.path.exists(tmp_path / "d" / name)
+
+    def test_rebuild_refuses_and_changes_nothing(self, tmp_path, mo):
+        only_a2 = ReductionSpecification((action_a2(mo),), mo.dimensions)
+        store = make_store(tmp_path / "d", mo, only_a2, fsync=False)
+        store.load(facts_of(mo))
+        store.synchronize(SNAPSHOT_TIMES[2])
+        before = fingerprint(store)
+        journal = (tmp_path / "d" / JOURNAL_FILE).read_bytes()
+        only_a4 = ReductionSpecification((action_a4(mo),), mo.dimensions)
+        with pytest.raises(DurabilityError, match="would not reopen"):
+            store.rebuild(only_a4, SNAPSHOT_TIMES[2])
+        assert fingerprint(store) == before
+        assert store.specification is only_a2
+        assert (tmp_path / "d" / JOURNAL_FILE).read_bytes() == journal
+        store.close()
+        recovered, _ = recover(tmp_path / "d")
+        assert fingerprint(recovered) == before
+        assert recovered.specification.action_names == ("a2",)
         recovered.close()
 
 

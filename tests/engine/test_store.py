@@ -1,6 +1,8 @@
 """Unit tests for the subcube store (Figure 6 architecture)."""
 
 import datetime as dt
+import functools
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +19,12 @@ from repro.experiments.paper_example import (
 from repro.reduction.reducer import reduce_mo
 from repro.spec.action import Action
 from repro.spec.specification import ReductionSpecification
+from repro.workload import (
+    ClickstreamConfig,
+    build_clickstream_mo,
+    generate_clicks,
+    grouped_retention_actions,
+)
 
 
 def facts_of(mo):
@@ -226,9 +234,8 @@ MEASURE_ROW = {
 
 
 class _ExplodingStore(SubcubeStore):
-    """A store whose migration hook raises after N migrations — the shape
-    of the pre-refactor bug where an ``EngineError`` from ``_target_cube``
-    stranded facts mid-synchronization."""
+    """A store whose migration hook raises after N migrations: a failure
+    after some facts of a synchronization have already left their cube."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -349,6 +356,173 @@ class TestTransactionalSync:
         with pytest.raises(RuntimeError):
             store.synchronize(SNAPSHOT_TIMES[2])
         assert store._dirty == dirty_before
+
+
+def _clickstream_store(store_class=SubcubeStore):
+    """A small click-stream store synchronized on 2000-11-30, plus the
+    facts of 2000-12-01, the month rollover that folds a whole month."""
+    config = ClickstreamConfig(
+        start=dt.date(2000, 6, 1),
+        end=dt.date(2000, 12, 1),
+        domains_per_group=2,
+        urls_per_domain=2,
+        clicks_per_day=3,
+        seed=7,
+    )
+    template = build_clickstream_mo(replace(config, clicks_per_day=0))
+    spec = ReductionSpecification(
+        grouped_retention_actions(template, detail_months=3, coarse_years=2),
+        template.dimensions,
+    )
+    facts = list(generate_clicks(config))
+    rollover = [f for f in facts if f[1]["Time"] == "2000/12/01"]
+    store = store_class(template, spec)
+    store.load([f for f in facts if f[1]["Time"] != "2000/12/01"])
+    store.synchronize(dt.date(2000, 11, 30))
+    store.load(rollover)
+    return store
+
+
+class TestBatchPlacement:
+    """Synchronization places every candidate fact in one batch pass; these
+    pin what that pass must keep of the one-fact-at-a-time behaviour."""
+
+    def _moves(self, make, at):
+        store = make()
+        store.migrations = 0
+        store.synchronize(at)
+        return store.migrations, fingerprint(store)
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_fault_in_first_full_sync_rolls_back(self, mo, position):
+        def make():
+            store = _ExplodingStore(mo, paper_specification(mo))
+            store.load(facts_of(mo))
+            return store
+
+        at = SNAPSHOT_TIMES[1]
+        moves, clean = self._moves(make, at)
+        assert moves >= 3
+        store = make()
+        before, dirty = fingerprint(store), set(store._dirty)
+        store.fail_after = {"first": 0, "middle": moves // 2, "last": moves - 1}[
+            position
+        ]
+        with pytest.raises(RuntimeError, match="simulated"):
+            store.synchronize(at)
+        assert fingerprint(store) == before
+        assert store._dirty == dirty
+        store.fail_after = None
+        store.synchronize(at)
+        assert fingerprint(store) == clean
+
+    def test_fault_during_month_rollover_rolls_back(self):
+        at = dt.date(2000, 12, 1)
+        make = functools.partial(_clickstream_store, _ExplodingStore)
+        moves, clean = self._moves(make, at)
+        assert moves > 10
+        store = make()
+        before, dirty = fingerprint(store), set(store._dirty)
+        store.migrations = 0
+        store.fail_after = moves // 2
+        with pytest.raises(RuntimeError, match="simulated"):
+            store.synchronize(at)
+        assert fingerprint(store) == before
+        assert store._dirty == dirty
+        store.fail_after = None
+        store.synchronize(at)
+        assert fingerprint(store) == clean
+
+    def test_crossing_specification_raises_before_any_move(self):
+        from repro.experiments.figures import build_extended_mo
+        from repro.experiments.paper_example import action_a1, action_a2
+
+        mo = build_extended_mo()
+        gatech = "URL.domain = 'gatech.edu'"
+        spec = ReductionSpecification(
+            (
+                action_a1(mo),
+                action_a2(mo),
+                Action.parse(
+                    mo.schema,
+                    f"a[Time.month, URL.domain] o[{gatech} AND "
+                    "Time.month <= NOW - 6 months]",
+                    "gatech_month",
+                ),
+                Action.parse(
+                    mo.schema,
+                    f"a[Time.week, URL.domain] o[{gatech} AND "
+                    "Time.week <= NOW - 10 weeks]",
+                    "gatech_week",
+                ),
+            ),
+            mo.dimensions,
+            validate=False,
+        )
+        store = _ExplodingStore(mo, spec)
+        store.load(facts_of(mo))
+        before = fingerprint(store)
+        # The .com facts sort before the gatech cell the two actions
+        # both claim; one at a time, they would have moved first.
+        with pytest.raises(EngineError, match="crossing"):
+            store.synchronize(SNAPSHOT_TIMES[2])
+        assert store.migrations == 0
+        assert fingerprint(store) == before
+
+    def test_irreversible_rebuild_raises_before_any_move(self, mo):
+        store = _ExplodingStore(mo, paper_specification(mo))
+        store.load(facts_of(mo))
+        store.synchronize(SNAPSHOT_TIMES[2])
+        store.migrations = 0
+        weaker = ReductionSpecification(
+            (
+                Action.parse(
+                    mo.schema,
+                    "a[Time.month, URL.domain] o[Time.month <= '1999/12']",
+                    "only_month",
+                ),
+            ),
+            mo.dimensions,
+        )
+        with pytest.raises(EngineError, match="disaggregate"):
+            store.rebuild(weaker, SNAPSHOT_TIMES[2])
+        assert store.migrations == 0
+
+    def test_float_fold_into_existing_cell_matches_pairwise_merges(
+        self, mo, store
+    ):
+        at = SNAPSHOT_TIMES[1]
+        store.synchronize(at)
+        target = store.cube("K1")
+        cell_id = target.cell_fact_id({"Time": "1999/12", "URL": "cnn.com"})
+        existing = target.mo.measure_value(cell_id, "Dwell_time")
+        late = [
+            ("late_b", "http://www.cnn.com/health", 1e16),
+            ("late_a", "http://www.cnn.com/", 0.1),
+        ]
+        store.load(
+            [
+                (
+                    fact_id,
+                    {"Time": "1999/12/04", "URL": url},
+                    {**MEASURE_ROW, "Dwell_time": dwell},
+                )
+                for fact_id, url, dwell in late
+            ]
+        )
+        store.synchronize(at)
+        # One move at a time, the sources merge in fact-id order (here,
+        # URL order), each one pairwise into the running value.
+        aggregate = target.mo.measures["Dwell_time"].aggregate
+        expected = existing
+        for _, _, dwell in sorted(late, key=lambda fact: fact[1]):
+            expected = aggregate([expected, dwell])
+        assert target.mo.measure_value(cell_id, "Dwell_time") == expected
+        # The values make the fold order observable: folding the sources
+        # first, or in load order, gives a different float.
+        assert expected != aggregate([existing, aggregate([0.1, 1e16])])
+        assert expected != aggregate([aggregate([existing, 1e16]), 0.1])
+        assert target.mo.provenance(cell_id).members >= {"late_a", "late_b"}
 
 
 class TestRebuildAtomicity:
