@@ -35,8 +35,8 @@ class AggregateFunction:
         return self.fold(vals)
 
 
-SUM = AggregateFunction("sum", lambda vs: sum(vs))
-COUNT = AggregateFunction("count", lambda vs: sum(vs))
+SUM = AggregateFunction("sum", sum)
+COUNT = AggregateFunction("count", sum)
 MIN = AggregateFunction("min", min)
 MAX = AggregateFunction("max", max)
 
@@ -105,26 +105,40 @@ class Measure:
     def items(self) -> Iterable[tuple[str, object]]:
         return self._values.items()
 
+    def values_of(self, fact_ids: Iterable[str]) -> list[object]:
+        """The values of *fact_ids*, in their order (one column read)."""
+        try:
+            return list(map(self._values.__getitem__, fact_ids))
+        except KeyError as error:
+            raise self._missing(error) from None
+
     def aggregate_over(self, fact_ids: Iterable[str]) -> object:
-        """Apply the default aggregate to the multiset ``{M(f) | f in ids}``."""
-        return self.aggregate_each([fact_ids])[0]
+        """Apply the default aggregate to the multiset ``{M(f) | f in ids}``.
+
+        An empty *fact_ids* raises :class:`MeasureError`.
+        """
+        return self.aggregate(self.values_of(fact_ids))
 
     def aggregate_each(
         self, groups: Iterable[Iterable[str]]
     ) -> list[object]:
         """:meth:`aggregate_over` for each of *groups*, in one call.
 
-        Every group folds its members' values in member order.
+        Every group folds its members' values in member order.  The
+        groups come from a group-by and are never empty, so the fold
+        runs without :class:`AggregateFunction`'s empty-multiset check.
         """
         value_of = self._values.__getitem__
         try:
             multisets = [list(map(value_of, members)) for members in groups]
         except KeyError as error:
-            raise MeasureError(
-                f"measure {self.name!r} has no value for fact "
-                f"{error.args[0]!r}"
-            ) from None
-        return list(map(self.aggregate, multisets))
+            raise self._missing(error) from None
+        return list(map(self.aggregate.fold, multisets))
+
+    def _missing(self, error: KeyError) -> MeasureError:
+        return MeasureError(
+            f"measure {self.name!r} has no value for fact {error.args[0]!r}"
+        )
 
     def restrict(self, fact_ids: Iterable[str]) -> "Measure":
         """The measure restricted to *fact_ids* (used by selection, Eq. 36)."""

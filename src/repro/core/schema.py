@@ -107,6 +107,10 @@ class FactSchema:
         self._measures_by_name: dict[str, MeasureType] = {
             m.name: m for m in measures
         }
+        # The schema never changes after construction, so the name
+        # tuples that per-fact paths read are built once.
+        self._dimension_names = tuple(names)
+        self._measure_names = tuple(measure_names)
 
     # ------------------------------------------------------------------
 
@@ -116,7 +120,7 @@ class FactSchema:
 
     @property
     def dimension_names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self._dimension_types)
+        return self._dimension_names
 
     @property
     def measure_types(self) -> tuple[MeasureType, ...]:
@@ -124,7 +128,7 @@ class FactSchema:
 
     @property
     def measure_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self._measure_types)
+        return self._measure_names
 
     @property
     def n_dimensions(self) -> int:

@@ -7,6 +7,14 @@ illustrates.  In the *unsynchronized* state each subquery additionally
 pulls the cube's not-yet-migrated facts from its parent cubes by applying
 ``a[G_i] o[P_i]`` over the cube and its parents first (Figure 9).
 
+:func:`query_store` does both steps in one pass: each cube's ``S_i`` is
+grouped and folded into plain per-cell rows
+(:func:`~repro.query.aggregation.aggregate_rows`), those rows fold across
+cubes into one row per cell, and the answer MO is built once.
+:func:`query_cube` and :func:`combine_subresults` run the same helpers
+but hand each step over as an MO, for callers that report the steps
+(``repro explain``, the paper figures).
+
 Because the disjoint predicates partition the cell space at every
 evaluation time, the parent pull can never double-count a fact.
 """
@@ -22,13 +30,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .._forkreg import register_cache
 from ..core.facts import Provenance, aggregate_fact_id
+from ..core.measures import Measure
 from ..core.mo import MultidimensionalObject
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..query.aggregation import (
     AggregationApproach,
-    aggregate,
+    Row,
     aggregate_facts,
+    aggregate_rows,
+    fold_groups,
+    group_cells,
+    result_mo,
 )
 from ..query.compare import Approach
 from ..query.selection import CompiledPredicate, bind_query_predicate
@@ -41,7 +54,7 @@ from .subcube import SubCube
 # distinguished by the ``cache`` label: ``bound`` (predicate text ->
 # bound AST) and ``plan`` ((predicate, time) -> compiled verdict
 # tables).  Row counters carry a ``stage`` label naming the operator:
-# ``scanned`` (facts each subquery saw), ``subresult`` (rows the
+# ``scanned`` (facts each subquery saw), ``subresult`` (partial rows the
 # per-cube select+aggregate produced), ``result`` (rows after the final
 # combination).
 from .telemetry import (  # noqa: E402
@@ -219,20 +232,20 @@ def plan_cache(store: SubcubeStore) -> QueryPlanCache:
     return cache
 
 
-def query_cube(
+def _selected(
     cube_mo: MultidimensionalObject,
     query: SubcubeQuery,
     now: _dt.date,
-    plans: QueryPlanCache | None = None,
-) -> MultidimensionalObject:
-    """One subquery ``S_i = Q(K_i)``.
+    plans: QueryPlanCache | None,
+) -> Iterable[str]:
+    """``o[P](K_i)``'s fact ids, in the cube's fact order.
 
     The predicate always runs compiled: through the cached plan of
     *plans* when the query carries predicate text, otherwise through a
     plan compiled for this call.
     """
     if query.predicate is None:
-        return aggregate(cube_mo, query.granularity, query.aggregation)
+        return cube_mo.facts()
     if plans is not None and isinstance(query.predicate, str):
         plan = plans.plan_for_text(query.predicate, now)
     else:
@@ -241,9 +254,23 @@ def query_cube(
             cube_mo.dimensions,
             now,
         )
+    return plan.satisfying_facts(cube_mo, query.approach)
+
+
+def query_cube(
+    cube_mo: MultidimensionalObject,
+    query: SubcubeQuery,
+    now: _dt.date,
+    plans: QueryPlanCache | None = None,
+) -> MultidimensionalObject:
+    """One subquery ``S_i = Q(K_i)`` as an MO.
+
+    :func:`query_store` folds the same rows without building this MO;
+    this form is for callers that report each subresult.
+    """
     return aggregate_facts(
         cube_mo,
-        plan.satisfying_facts(cube_mo, query.approach),
+        _selected(cube_mo, query, now, plans),
         query.granularity,
         query.aggregation,
     )
@@ -256,7 +283,13 @@ def query_store(
     assume_synchronized: bool = True,
     plans: QueryPlanCache | None = None,
 ) -> MultidimensionalObject:
-    """Evaluate *query* over all subcubes and combine the subresults.
+    """Evaluate *query* over all subcubes in one pass.
+
+    Each cube's selected facts are grouped by their requested cell and
+    folded into per-cell partial rows (the subresult ``S_i``, never
+    built as an MO); the partials of all cubes fold into one row per
+    cell (:func:`_merged`), and the answer MO is built once from
+    those rows (:func:`_answer`).
 
     With ``assume_synchronized=False`` each cube's effective content is
     first rebuilt as ``a[G_i](o[P_i](K_i union parents(K_i)))`` at the
@@ -269,11 +302,13 @@ def query_store(
     if plans is None:
         plans = plan_cache(store)
     started = time.perf_counter()
+    bottom = store.bottom_cube.mo
     with trace.span(
         "query.store", synchronized=assume_synchronized
     ) as query_span:
+        requested = bottom.schema.validate_granularity(query.granularity)
         scanned = 0
-        subresults: list[MultidimensionalObject] = []
+        partials: list[list[Row]] = []
         for definition in store.definitions:
             cube = store.cube(definition.name)
             if assume_synchronized:
@@ -281,8 +316,17 @@ def query_store(
             else:
                 effective = effective_content(store, cube, now, plans)
             scanned += effective.n_facts
-            subresults.append(query_cube(effective, query, now, plans))
-        result = combine_subresults(store, subresults, query, now)
+            partials.append(
+                aggregate_rows(
+                    effective,
+                    _selected(effective, query, now, plans),
+                    requested,
+                    query.aggregation,
+                )
+            )
+        result = _answer(
+            bottom, requested, _merged(partials, bottom), query.aggregation
+        )
         query_span.set_attribute("rows_scanned", scanned)
         query_span.set_attribute("rows_result", result.n_facts)
     metrics = store.metrics
@@ -294,7 +338,7 @@ def query_store(
         scanned
     )
     metrics.counter(QUERY_ROWS, {"stage": "subresult"}, help=rows_help).inc(
-        sum(subresult.n_facts for subresult in subresults)
+        sum(map(len, partials))
     )
     metrics.counter(QUERY_ROWS, {"stage": "result"}, help=rows_help).inc(
         result.n_facts
@@ -334,28 +378,34 @@ def effective_content(
     sources = [cube.mo, *(store.cube(name).mo for name in definition.parents)]
     names = cube.mo.schema.dimension_names
 
-    def rolled_up() -> Iterator[_Row]:
-        for source in sources:
-            admitted = plan.satisfying_facts(source)
-            columns = []
-            for name, category in zip(names, definition.granularity):
-                ancestor_at = source.dimensions[name].try_ancestor_at
-                directs = source.relations[name].values_of(admitted)
-                value_for = {
-                    direct: ancestor_at(direct, category)
-                    for direct in dict.fromkeys(directs)
-                }
-                columns.append(map(value_for.__getitem__, directs))
-            yield from _rows_of(
-                source,
-                (
-                    (fact_id, cell)
-                    for fact_id, cell in zip(admitted, zip(*columns))
-                    if None not in cell
-                ),
-            )
+    def rolled_up(source: MultidimensionalObject) -> Iterator[Row]:
+        admitted = plan.satisfying_facts(source)
+        columns = []
+        for name, category in zip(names, definition.granularity):
+            ancestor_at = source.dimensions[name].try_ancestor_at
+            directs = source.relations[name].values_of(admitted)
+            value_for = {
+                direct: ancestor_at(direct, category)
+                for direct in dict.fromkeys(directs)
+            }
+            columns.append(map(value_for.__getitem__, directs))
+        return _rows_of(
+            source,
+            (
+                (fact_id, cell)
+                for fact_id, cell in zip(admitted, zip(*columns))
+                if None not in cell
+            ),
+        )
 
-    return _merged_by_cell(cube.mo.empty_like(), rolled_up())
+    target = cube.mo.empty_like()
+    target.adopt_rows(
+        (aggregate_fact_id(cell), cell, values, provenance)
+        for cell, values, provenance in _merged(
+            map(rolled_up, sources), cube.mo
+        )
+    )
+    return target
 
 
 def combine_subresults(
@@ -364,38 +414,34 @@ def combine_subresults(
     query: SubcubeQuery,
     now: _dt.date,
 ) -> MultidimensionalObject:
-    """The final combination step: union the ``S_i`` and aggregate once.
+    """The final combination step over :func:`query_cube`'s answers to
+    *query*: the same cross-cube fold and answer :func:`query_store`
+    computes in its one pass."""
+    bottom = store.bottom_cube.mo
+    names = bottom.schema.dimension_names
 
-    All warehouse aggregates are distributive (the model requires it), so
-    aggregating the subresults again "poses no complications", exactly as
-    Section 7.3 argues.
-    """
-    names = store.bottom_cube.mo.schema.dimension_names
+    def rows_of(subresult: MultidimensionalObject) -> Iterator[Row]:
+        fact_ids = list(subresult.facts())
+        columns = [
+            subresult.relations[name].values_of(fact_ids) for name in names
+        ]
+        return _rows_of(subresult, zip(fact_ids, zip(*columns)))
 
-    def rows() -> Iterator[_Row]:
-        for subresult in subresults:
-            fact_ids = list(subresult.facts())
-            columns = [
-                subresult.relations[name].values_of(fact_ids)
-                for name in names
-            ]
-            yield from _rows_of(subresult, zip(fact_ids, zip(*columns)))
-
-    union = _merged_by_cell(store.bottom_cube.mo.empty_like(), rows())
-    return aggregate(union, dict(query.granularity), query.aggregation)
-
-
-#: One derived row on its way into a union: cell, measure values in
-#: schema order, provenance.
-_Row = tuple[tuple[str, ...], list[object], Provenance]
+    requested = bottom.schema.validate_granularity(query.granularity)
+    return _answer(
+        bottom,
+        requested,
+        _merged(map(rows_of, subresults), bottom),
+        query.aggregation,
+    )
 
 
 def _rows_of(
     mo: MultidimensionalObject,
     cells: Iterable[tuple[str, tuple[str, ...]]],
-) -> Iterator[_Row]:
+) -> Iterator[Row]:
     """The rows of *mo*'s facts named in *cells* (``(fact id, cell)``)."""
-    measures = [mo.measure(name) for name in mo.schema.measure_names]
+    measures = list(mo.measures.values())
     provenance_of = mo.provenance
     for fact_id, cell in cells:
         yield (
@@ -405,42 +451,86 @@ def _rows_of(
         )
 
 
-def _merged_by_cell(
-    target: MultidimensionalObject, rows: Iterable[_Row]
-) -> MultidimensionalObject:
-    """Fill the empty *target* with *rows*, one fact per distinct cell.
+def _merged(
+    batches: Iterable[Iterable[Row]], mo: MultidimensionalObject
+) -> Iterator[Row]:
+    """The rows of *batches*, one per distinct cell.
 
     Rows sharing a cell fold their measures pairwise in arrival order
-    (the distributive step; per-cube partials therefore fold in cube
-    order) and union their provenance once.  A cell that receives a
-    further row moves behind every cell seen so far — the fact order
-    the final aggregation, and so the answer, inherits.
+    with *mo*'s default aggregates (the distributive step; per-cube
+    partials therefore fold in cube order) and union their provenance
+    once.  A cell that receives a further row moves behind every cell
+    seen so far -- the fact order the answer inherits.
     """
-    parts_of: dict[tuple[str, ...], list[_Row]] = {}
-    for row in rows:
-        parts = parts_of.pop(row[0], [])
-        parts.append(row)
-        parts_of[row[0]] = parts
-    aggregates = [
-        target.measures[name].aggregate
-        for name in target.schema.measure_names
-    ]
+    folds = [measure.aggregate.fold for measure in mo.measures.values()]
+    merged: dict[tuple[str, ...], tuple[list[object], list[Provenance]]] = {}
+    for rows in batches:
+        for cell, values, provenance in rows:
+            so_far = merged.pop(cell, None)
+            if so_far is None:
+                merged[cell] = (values, [provenance])
+                continue
+            old_values, provenances = so_far
+            provenances.append(provenance)
+            merged[cell] = (
+                [
+                    fold([old, new])
+                    for fold, old, new in zip(folds, old_values, values)
+                ],
+                provenances,
+            )
+    for cell, (values, provenances) in merged.items():
+        yield cell, values, (
+            provenances[0]
+            if len(provenances) == 1
+            else Provenance(
+                frozenset().union(*[part.members for part in provenances])
+            )
+        )
 
-    def merged() -> Iterator[tuple]:
-        for cell, parts in parts_of.items():
-            _, measures, provenance = parts[0]
-            if len(parts) > 1:
-                for _, more, _ in parts[1:]:
-                    measures = [
-                        fold([so_far, value])
-                        for fold, so_far, value in zip(
-                            aggregates, measures, more
-                        )
-                    ]
-                provenance = Provenance(
-                    frozenset().union(*[part[2].members for part in parts])
-                )
-            yield aggregate_fact_id(cell), cell, measures, provenance
 
-    target.adopt_rows(merged())
-    return target
+def _answer(
+    bottom: MultidimensionalObject,
+    requested: tuple[str, ...],
+    rows: Iterable[Row],
+    approach: AggregationApproach,
+) -> MultidimensionalObject:
+    """The final aggregation over the folded partials, as one MO.
+
+    Under ``AVAILABILITY`` and ``STRICT`` the partials are the answer,
+    because aggregating them again is the identity:
+
+    * the grouping is idempotent.  Each partial's value ``v`` already
+      sits at the category ``finest_available`` chose for its facts,
+      which is at or above the requested one (exactly the requested
+      one under ``STRICT``).  Every category reachable upward from
+      ``v`` is at or above ``v``'s own, so ``finest_available(v, C)``
+      is ``v`` itself, and each folded cell forms a group of one;
+    * the fold is too.  The model's aggregates are distributive, so
+      ``f([f(S)]) == f(S)`` (Gray et al.'s *Data Cube*): folding a
+      one-row group again changes nothing.
+
+    ``LUB`` picks one common category for the whole answer, the least
+    upper bound over every cube's partials, so it groups the folded rows
+    once more.
+    """
+    if approach is AggregationApproach.LUB:
+        union = {row[0]: row for row in rows}
+        cells = list(union)
+        groups = group_cells(
+            bottom.dimensions.values(),
+            list(zip(*cells)),
+            cells,
+            requested,
+            approach,
+        )
+        measures = [
+            Measure(
+                name,
+                measure.aggregate,
+                {cell: row[1][index] for cell, row in union.items()},
+            )
+            for index, (name, measure) in enumerate(bottom.measures.items())
+        ]
+        rows = fold_groups(measures, lambda cell: union[cell][2], groups)
+    return result_mo(bottom, requested, rows)

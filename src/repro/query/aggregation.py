@@ -21,14 +21,18 @@ scope here, documented in DESIGN.md.)
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from ..core.dimension import Dimension
 from ..core.facts import Provenance, aggregate_fact_id
 from ..core.hierarchy import TOP
+from ..core.measures import Measure
 from ..core.mo import MultidimensionalObject
 from ..core.schema import FactSchema
 from ..errors import QueryError
+
+#: A group member: a fact id, or the cell of an already aggregated row.
+K = TypeVar("K")
 
 
 class AggregationApproach(enum.Enum):
@@ -63,20 +67,58 @@ def aggregate_facts(
 
     Equal to ``aggregate(mo.restrict_to_facts(fact_ids), ...)`` without
     the intermediate copy: ``a[..](o[p](O))`` hands the selection's keep
-    list straight to the group-by.  Each dimension's grouping value is
-    looked up once per distinct direct value, the facts are grouped in
-    one pass in *fact_ids* order, and every result row is built once.
+    list straight to the group-by (:func:`aggregate_rows`), and every
+    result row is built once.
     """
     requested = mo.schema.validate_granularity(granularity)
-    names = mo.schema.dimension_names
-    ids = list(dict.fromkeys(fact_ids))
-    strict = approach is AggregationApproach.STRICT
+    return result_mo(
+        mo, requested, aggregate_rows(mo, fact_ids, requested, approach)
+    )
 
-    # Per dimension: the grouping value of every fact (None: dropped).
+
+#: One aggregated row: cell (ordered like the schema's dimensions),
+#: measure values (ordered like its measures), provenance.
+Row = tuple[tuple[str, ...], list[object], Provenance]
+
+
+def aggregate_rows(
+    mo: MultidimensionalObject,
+    fact_ids: Iterable[str],
+    requested: tuple[str, ...],
+    approach: AggregationApproach = AggregationApproach.AVAILABILITY,
+) -> list[Row]:
+    """The rows of ``a[requested]`` over the facts *fact_ids* of *mo*,
+    in first-member order, without building an MO."""
+    ids = list(dict.fromkeys(fact_ids))
+    groups = group_cells(
+        mo.dimensions.values(),
+        [relation.values_of(ids) for relation in mo.relations.values()],
+        ids,
+        requested,
+        approach,
+    )
+    return fold_groups(mo.measures.values(), mo.provenance, groups)
+
+
+def group_cells(
+    dimensions: Iterable[Dimension],
+    columns: Sequence[Sequence[str]],
+    keys: Sequence[K],
+    requested: tuple[str, ...],
+    approach: AggregationApproach,
+) -> dict[tuple[str, ...], list[K]]:
+    """Group *keys* by their result cell under *approach*.
+
+    ``columns[i][j]`` is the direct value of ``keys[j]`` in the *i*-th
+    dimension.  Each dimension's grouping value is looked up once per
+    distinct direct value; the groups, and each group's members, come
+    in *keys* order.  Under ``STRICT`` a key whose value is coarser than
+    requested joins no group; under ``LUB`` the common category is the
+    least upper bound over these keys alone.
+    """
+    strict = approach is AggregationApproach.STRICT
     grouping: list[list[str | None]] = []
-    for name, category in zip(names, requested):
-        dimension = mo.dimensions[name]
-        directs = mo.relations[name].values_of(ids)
+    for dimension, directs, category in zip(dimensions, columns, requested):
         available = {
             direct: dimension.finest_available(direct, category)
             for direct in dict.fromkeys(directs)
@@ -96,26 +138,29 @@ def aggregate_facts(
             }
         grouping.append(list(map(value_for.__getitem__, directs)))
 
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for cell, fact_id in zip(zip(*grouping), ids):
+    groups: dict[tuple[str, ...], list[K]] = {}
+    for cell, key in zip(zip(*grouping), keys):
         if strict and None in cell:
             continue
         members = groups.get(cell)
         if members is None:
-            groups[cell] = [fact_id]
+            groups[cell] = [key]
         else:
-            members.append(fact_id)
+            members.append(key)
+    return groups
 
+
+def fold_groups(
+    measures: Iterable[Measure],
+    provenance_of: Callable[[K], Provenance],
+    groups: Mapping[tuple[str, ...], Sequence[K]],
+) -> list[Row]:
+    """One row per group: each measure folded over the group's members
+    in member order, and the members' provenance united once."""
     member_lists = list(groups.values())
-    folded = [
-        mo.measures[name].aggregate_each(member_lists)
-        for name in mo.schema.measure_names
-    ]
-    provenance_of = mo.provenance
-    result = _result_mo(mo, requested)
-    result.adopt_rows(
+    folded = [measure.aggregate_each(member_lists) for measure in measures]
+    return [
         (
-            aggregate_fact_id(cell),
             cell,
             [column[row] for column in folded],
             provenance_of(members[0])
@@ -127,8 +172,7 @@ def aggregate_facts(
             ),
         )
         for row, (cell, members) in enumerate(groups.items())
-    )
-    return result
+    ]
 
 
 def group_high(
@@ -173,10 +217,13 @@ def group_high(
     return frozenset(facts)
 
 
-def _result_mo(
-    mo: MultidimensionalObject, requested: tuple[str, ...]
+def result_mo(
+    mo: MultidimensionalObject,
+    requested: tuple[str, ...],
+    rows: Iterable[Row],
 ) -> MultidimensionalObject:
-    """A fresh MO whose dimension types restrict to categories >= C_i."""
+    """The answer MO of ``a[requested]`` over *mo*, holding *rows*: its
+    dimension types restrict to the categories ``>= C_i``."""
     new_dimensions: dict[str, Dimension] = {}
     dimension_types = []
     for name, category in zip(mo.schema.dimension_names, requested):
@@ -200,4 +247,9 @@ def _result_mo(
     schema = FactSchema(
         mo.schema.fact_type, dimension_types, mo.schema.measure_types
     )
-    return MultidimensionalObject(schema, new_dimensions)
+    result = MultidimensionalObject(schema, new_dimensions)
+    result.adopt_rows(
+        (aggregate_fact_id(cell), cell, values, provenance)
+        for cell, values, provenance in rows
+    )
+    return result

@@ -90,14 +90,26 @@ class Query:
 
 
 def mo_rows(mo: MultidimensionalObject) -> list[dict[str, object]]:
-    """One dict per fact: dimension values, measures, and granularity."""
-    rows: list[dict[str, object]] = []
-    for fact_id in sorted(mo.facts()):
-        row: dict[str, object] = {"fact": fact_id}
-        for name in mo.schema.dimension_names:
-            row[name] = mo.direct_value(fact_id, name)
-        for name in mo.schema.measure_names:
-            row[name] = mo.measure_value(fact_id, name)
-        row["granularity"] = mo.gran(fact_id)
-        rows.append(row)
-    return rows
+    """One dict per fact, in fact-id order: dimension values, measures,
+    and granularity.
+
+    Reads whole columns, and looks each distinct value's category up
+    once.
+    """
+    fact_ids = sorted(mo.facts())
+    names = mo.schema.dimension_names
+    cells = [mo.relations[name].values_of(fact_ids) for name in names]
+    grans = []
+    for name, values in zip(names, cells):
+        category_of = mo.dimensions[name].category_of
+        category = {
+            value: category_of(value) for value in dict.fromkeys(values)
+        }
+        grans.append(map(category.__getitem__, values))
+    keys = ("fact", *names, *mo.schema.measure_names, "granularity")
+    measures = [
+        mo.measure(name).values_of(fact_ids)
+        for name in mo.schema.measure_names
+    ]
+    columns = [fact_ids, *cells, *measures, zip(*grans)]
+    return [dict(zip(keys, row)) for row in zip(*columns)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import measures
 from repro.core.measures import (
     AVG,
     AggregateFunction,
@@ -61,6 +62,34 @@ class TestAggregateFunctions:
         parts = [MIN(values[:2]), MIN(values[2:])]
         assert MIN(parts) == MIN(values)
 
+    # The store's one-pass query answers with each cell's partial as is,
+    # where a second aggregation would fold it once more: the two must
+    # agree bit for bit, signed zeros and NaN included.
+    @pytest.mark.parametrize(
+        "function",
+        [f for f in measures._REGISTRY.values() if f.distributive],
+        ids=lambda function: function.name,
+    )
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.0],
+            [0.0, -0.0],
+            [-0.0, 0.0],
+            [-0.0, -0.0],
+            [float("nan")],
+            [1.0, float("nan")],
+            [float("nan"), 1.0],
+            [0.1, 0.2, 0.3],
+            [1e16, 1.0, -1e16],
+            [3, 2.5, 1],
+            [7],
+        ],
+    )
+    def test_folding_a_fold_again_changes_nothing(self, function, values):
+        folded = function.fold(values)
+        assert repr(function.fold([folded])) == repr(folded)
+
 
 class TestMeasure:
     def test_set_get(self):
@@ -78,6 +107,18 @@ class TestMeasure:
     def test_aggregate_over(self):
         measure = Measure("m", SUM, {"a": 1, "b": 2, "c": 3})
         assert measure.aggregate_over(["a", "c"]) == 4
+
+    def test_aggregate_over_nothing_raises(self):
+        measure = Measure("m", SUM, {"a": 1})
+        with pytest.raises(MeasureError, match="empty"):
+            measure.aggregate_over([])
+
+    def test_aggregate_each_folds_every_group_in_member_order(self):
+        measure = Measure("m", MIN, {"a": 0.0, "b": -0.0, "c": 5})
+        folded = measure.aggregate_each([["a", "b"], ["b", "a"], ["c"]])
+        assert repr(folded) == "[0.0, -0.0, 5]"
+        with pytest.raises(MeasureError, match="no value for fact 'z'"):
+            measure.aggregate_each([["a"], ["z"]])
 
     def test_restrict(self):
         measure = Measure("m", SUM, {"a": 1, "b": 2})

@@ -4,17 +4,20 @@ import datetime as dt
 
 import pytest
 
+from repro.core.hierarchy import TOP
 from repro.engine.queryproc import (
     SubcubeQuery,
     effective_content,
     query_store,
 )
 from repro.engine.store import SubcubeStore
+from repro.engine.telemetry import QUERY_ROWS
 from repro.experiments.paper_example import (
     SNAPSHOT_TIMES,
     build_paper_mo,
     paper_specification,
 )
+from repro.obs import trace
 from repro.query.aggregation import aggregate
 from repro.query.algebra import mo_rows
 from repro.query.selection import select
@@ -100,6 +103,41 @@ class TestUnsynchronizedQueries:
         query = SubcubeQuery(None, {"Time": "year", "URL": "domain_grp"})
         result = query_store(store, query, at, assume_synchronized=False)
         assert result.total("Number_of") == 7
+
+
+class TestQueryTelemetry:
+    """The per-stage row counts the benchmark's
+    ``rows_scanned_per_result_row`` is built from, pinned for one
+    paper-example query: the grand total at 2000-11-05, where three
+    cubes each give one partial row and the three fold into one."""
+
+    GRAND_TOTAL = SubcubeQuery(None, {"Time": TOP, "URL": TOP})
+
+    @pytest.mark.parametrize(
+        ("synced_at", "synchronized"),
+        [(SNAPSHOT_TIMES[2], True), (SNAPSHOT_TIMES[1], False)],
+    )
+    def test_rows_per_stage(self, store, synced_at, synchronized):
+        store.synchronize(synced_at)
+        with trace.recording() as recorder:
+            result = query_store(
+                store,
+                self.GRAND_TOTAL,
+                SNAPSHOT_TIMES[2],
+                assume_synchronized=synchronized,
+            )
+        assert result.total("Number_of") == 7
+        rows = {
+            stage: store.metrics.value(QUERY_ROWS, {"stage": stage})
+            for stage in ("scanned", "subresult", "result")
+        }
+        assert rows == {"scanned": 4, "subresult": 3, "result": 1}
+        (span,) = recorder.find("query.store")
+        assert span.attributes == {
+            "synchronized": synchronized,
+            "rows_scanned": 4,
+            "rows_result": 1,
+        }
 
 
 def _content(mo):

@@ -36,9 +36,22 @@ def sparse_days(draw, min_size: int = 2, max_size: int = 10):
     return sorted(days)
 
 
+#: Float measure values whose sums depend on the order they are added
+#: in, and signed zeros, whose ``max`` depends on it.
+ORDER_SENSITIVE_FLOATS = st.one_of(
+    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+    st.sampled_from([0.1, 0.2, 1e16, -1e16]),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
 @st.composite
-def small_mos(draw, max_facts: int = 14):
-    """A small click MO over a sparse time dimension and a fixed URL dim."""
+def small_mos(draw, max_facts: int = 14, float_measures: bool = False):
+    """A small click MO over a sparse time dimension and a fixed URL dim.
+
+    With *float_measures*, ``Dwell_time`` (sum) and ``Peak`` (max) hold
+    :data:`ORDER_SENSITIVE_FLOATS`.
+    """
     days = draw(sparse_days())
     n_facts = draw(st.integers(min_value=1, max_value=max_facts))
     builder = (
@@ -66,8 +79,16 @@ def small_mos(draw, max_facts: int = 14):
             {"Time": day, "URL": url},
             {
                 "Number_of": 1,
-                "Dwell_time": draw(st.integers(min_value=1, max_value=999)),
-                "Peak": draw(st.integers(min_value=1, max_value=99)),
+                "Dwell_time": draw(
+                    ORDER_SENSITIVE_FLOATS
+                    if float_measures
+                    else st.integers(min_value=1, max_value=999)
+                ),
+                "Peak": draw(
+                    ORDER_SENSITIVE_FLOATS
+                    if float_measures
+                    else st.integers(min_value=1, max_value=99)
+                ),
             },
         )
     return builder.build()
@@ -131,8 +152,10 @@ def windowed_spec_for(mo, k: int):
 
 
 @st.composite
-def mos_with_specs(draw):
-    mo = draw(small_mos())
+def mos_with_specs(
+    draw, max_facts: int = 14, float_measures: bool = False
+):
+    mo = draw(small_mos(max_facts, float_measures))
     if draw(st.booleans()):
         detail_months = draw(st.integers(min_value=1, max_value=8))
         coarse_quarters = draw(st.integers(min_value=1, max_value=6))

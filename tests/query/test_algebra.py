@@ -54,3 +54,26 @@ class TestQueryPipeline:
         assert rows == sorted(rows, key=lambda r: r["fact"])
         for row in rows:
             assert "Time" in row and "URL" in row and "granularity" in row
+
+    def test_mo_rows_equal_per_fact_reads(self, reduced):
+        # The column reads give exactly what per-fact lookups give: the
+        # same keys in the same order, values and granularity tuples.
+        expected = [
+            {
+                "fact": fact_id,
+                **{
+                    name: reduced.direct_value(fact_id, name)
+                    for name in reduced.schema.dimension_names
+                },
+                **{
+                    name: reduced.measure_value(fact_id, name)
+                    for name in reduced.schema.measure_names
+                },
+                "granularity": reduced.gran(fact_id),
+            }
+            for fact_id in sorted(reduced.facts())
+        ]
+        rows = mo_rows(reduced)
+        assert rows == expected
+        assert [list(row) for row in rows] == [list(row) for row in expected]
+        assert mo_rows(reduced.empty_like()) == []
