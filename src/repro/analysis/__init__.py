@@ -19,8 +19,7 @@ The ``SDR2xx`` lint rules read the matrix and the reachability through
 :class:`repro.lint.engine.LintContext`, which computes each once per run
 and bundles them with the cost estimates into the
 :class:`~repro.analysis.report.SpecAnalysis` report that ``repro check``
-renders.  The box domain also backs the disjoint-predicate pruning in
-:mod:`repro.engine.disjoint`.
+renders.
 """
 
 from .boxes import (
@@ -38,7 +37,6 @@ from .matrix import (
     Verdict,
     relationship_matrix,
 )
-from .pruning import negation_prunable
 from .reach import ReachabilityResult, reachability
 from .report import ANALYSIS_SCHEMA, SpecAnalysis
 
@@ -54,7 +52,6 @@ __all__ = [
     "box_is_exact",
     "boxes_of",
     "estimate_costs",
-    "negation_prunable",
     "profile_contained",
     "region_contained",
     "relationship_matrix",

@@ -9,8 +9,10 @@ action at the bottom granularity collects everything no group claims —
 the paper's ``a_|_'`` (Equation 44).
 
 The resulting *disjoint* predicates partition the cell space at every
-evaluation time, which is exactly what lets each subcube own its facts
-exclusively and lets synchronization move data directly cube-to-cube.
+evaluation time.  The store places facts with the actions themselves
+(the ``<=_V``-maximal admitted granularity); the predicates are what the
+unsynchronized query (Figure 9) evaluates to read each cube's effective
+content, and what the tests check that placement against.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..analysis.pruning import negation_prunable
 from ..errors import EngineError
 from ..obs.metrics import get_registry
 from ..spec.action import Action
@@ -27,17 +28,8 @@ from ..spec.specification import ReductionSpecification
 
 # Registered in engine/telemetry.py, catalogued in
 # docs/observability.md.
-from .telemetry import (  # noqa: E402
-    DISJOINT_ATOMS,
-    DISJOINT_BUILD_SECONDS,
-    DISJOINT_NEGATIONS,
-)
+from .telemetry import DISJOINT_BUILD_SECONDS  # noqa: E402
 
-_HELP_NEGATIONS = (
-    "Negation terms of disjoint predicates by outcome (kept or statically "
-    "pruned as provably redundant)"
-)
-_HELP_ATOMS = "Atoms in each disjoint cube's final predicate"
 _HELP_BUILD = "Seconds spent building the disjoint action set"
 
 
@@ -61,20 +53,14 @@ class DisjointAction:
 
 def disjoint_actions(
     specification: ReductionSpecification,
-    prune: bool = True,
 ) -> tuple[DisjointAction, ...]:
     """The disjoint action set of Section 7.1, bottom cube included.
 
     Cube names are ``K0`` for the residual bottom cube and ``K1..Km`` for
     the granularity groups ordered from finest to coarsest (deterministic,
-    so tests and figures can reference them).
-
-    With ``prune=True`` (the default) negation terms the semantic
-    analyzer proves redundant (:func:`repro.analysis.pruning.
-    negation_prunable`) are dropped; evaluation of the resulting
-    predicates is bit-for-bit identical under both approaches, only
-    smaller.  Term counts, predicate sizes, and build time are recorded
-    in the active metrics registry.
+    so tests and figures can reference them).  Each group's predicate is
+    its members' disjunction AND NOT every strictly coarser group's; the
+    build time is recorded in the active metrics registry.
     """
     started = time.perf_counter()
     actions = list(specification.actions)
@@ -103,27 +89,13 @@ def disjoint_actions(
         granularity: disjunction([a.predicate for a in groups[granularity]])
         for granularity in groups
     }
-    metrics = get_registry()
-    dimensions = specification.dimensions
-    prover = specification.prover_config
-    kept_terms = 0
-    pruned_terms = 0
     for index, granularity in enumerate(ordered):
-        higher = [
-            g
+        negations = [
+            Not(raw_predicates[g])
             for g in ordered
             if g != granularity
             and schema.le_granularity(granularity, g)
         ]
-        negations: list[Predicate] = []
-        for g in higher:
-            if prune and negation_prunable(
-                groups[granularity], groups[g], granularity, dimensions, prover
-            ):
-                pruned_terms += 1
-                continue
-            kept_terms += 1
-            negations.append(Not(raw_predicates[g]))
         predicate = conjunction([raw_predicates[granularity], *negations])
         cubes.append(
             DisjointAction(
@@ -135,11 +107,9 @@ def disjoint_actions(
         )
 
     bottom = schema.bottom_granularity()
-    # Residual negations have no positive anchor to make pruning sound.
     residual_negations: list[Predicate] = [
         Not(raw_predicates[g]) for g in ordered if g != bottom
     ]
-    kept_terms += len(residual_negations)
     residual_predicate = (
         conjunction(residual_negations)
         if residual_negations
@@ -167,19 +137,7 @@ def disjoint_actions(
         )
 
     out = tuple(_with_parents(cubes, schema))
-    if kept_terms:
-        metrics.counter(
-            DISJOINT_NEGATIONS, {"status": "kept"}, help=_HELP_NEGATIONS
-        ).inc(kept_terms)
-    if pruned_terms:
-        metrics.counter(
-            DISJOINT_NEGATIONS, {"status": "pruned"}, help=_HELP_NEGATIONS
-        ).inc(pruned_terms)
-    for cube in out:
-        metrics.gauge(
-            DISJOINT_ATOMS, {"cube": cube.name}, help=_HELP_ATOMS
-        ).set(len(list(cube.predicate.atoms())))
-    metrics.histogram(
+    get_registry().histogram(
         DISJOINT_BUILD_SECONDS, help=_HELP_BUILD
     ).observe(time.perf_counter() - started)
     return out

@@ -59,9 +59,5 @@ INGEST_BATCHES = "repro_ingest_batches_total"
 INGEST_COMMIT_SECONDS = "repro_ingest_commit_seconds"
 
 # Disjoint-predicate construction -----------------------------------------
-#: Negation terms considered per cube, labelled kept/pruned.
-DISJOINT_NEGATIONS = "repro_disjoint_negation_terms_total"
-#: Atom count of each cube's final disjoint predicate.
-DISJOINT_ATOMS = "repro_disjoint_predicate_atoms"
 #: Wall-clock seconds spent building the disjoint action set.
 DISJOINT_BUILD_SECONDS = "repro_disjoint_build_seconds"

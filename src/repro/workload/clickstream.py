@@ -142,15 +142,13 @@ def grouped_retention_actions(
     detail_months: int = 3,
     coarse_years: int = 2,
 ) -> list:
-    """A per-group retention policy with statically separable tiers.
+    """A per-group retention policy in three tiers.
 
     ``.com`` traffic keeps domain detail at monthly resolution, ``.edu``
     traffic only group detail, and everything folds to yearly sums after
     *coarse_years*.  The ``.com``/``.edu`` month tiers constrain the same
-    category with disjoint constants, so the disjoint transform can
-    statically prove their negation terms redundant
-    (:mod:`repro.analysis.pruning`) — the workload the reduction benchmark
-    uses to measure predicate-size deltas.
+    category with disjoint constants — the specification the pipeline
+    benchmark reduces.
     """
     from ..spec.action import Action
 

@@ -5,9 +5,14 @@ import datetime as dt
 import pytest
 
 from repro.engine.disjoint import disjoint_actions
+from repro.engine.telemetry import DISJOINT_BUILD_SECONDS
 from repro.experiments.figures import build_extended_mo, extended_specification
 from repro.experiments.paper_example import build_paper_mo, paper_specification
+from repro.obs import metrics as obs_metrics
+from repro.spec.ast import Not, conjunction, disjunction
 from repro.spec.predicate import satisfies
+from repro.spec.specification import ReductionSpecification
+from repro.workload import grouped_retention_actions
 
 
 @pytest.fixture
@@ -42,6 +47,40 @@ class TestShape:
         assert cubes["K0"].parents == ()
         assert cubes["K1"].parents == ("K0",)
         assert set(cubes["K2"].parents) == {"K0", "K1"}
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_predicates_are_section_7_1_unabridged(self, mo, spec, grouped):
+        if grouped:
+            spec = ReductionSpecification(
+                grouped_retention_actions(mo, detail_months=3, coarse_years=2),
+                mo.dimensions,
+            )
+        schema = mo.schema
+        by_name = {action.name: action for action in spec.actions}
+        cubes = disjoint_actions(spec)
+        raw = {
+            cube.granularity: disjunction(
+                [by_name[member].predicate for member in cube.members]
+            )
+            for cube in cubes
+            if not cube.is_residual
+        }
+        for cube in cubes:
+            if cube.is_residual:
+                expected = conjunction([Not(p) for p in raw.values()])
+            else:
+                expected = conjunction(
+                    [
+                        raw[cube.granularity],
+                        *(
+                            Not(raw[g])
+                            for g in raw
+                            if g != cube.granularity
+                            and schema.le_granularity(cube.granularity, g)
+                        ),
+                    ]
+                )
+            assert cube.predicate == expected, cube.name
 
     def test_extended_spec_week_cube(self):
         mo = build_extended_mo()
@@ -92,6 +131,16 @@ class TestPartition:
                 if satisfies(mo, fact_id, cube.predicate, at)
             ]
             assert owner == by_granularity[target_granularity]
+
+
+class TestTelemetry:
+    def test_build_records_one_duration_and_nothing_else(self, spec):
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(registry):
+            disjoint_actions(spec)
+        assert registry.names() == [DISJOINT_BUILD_SECONDS]
+        [(labels, histogram)] = registry.samples(DISJOINT_BUILD_SECONDS)
+        assert labels == {} and histogram.count == 1
 
 
 class TestErrors:

@@ -1,6 +1,6 @@
 """Property-based soundness of the semantic analyzer.
 
-Three families of generated cases:
+Two families of generated cases:
 
 * **Matrix soundness** — every definite verdict of
   :func:`repro.analysis.matrix.relationship_matrix` is checked against
@@ -19,9 +19,9 @@ Three families of generated cases:
   (union-covered) can be deleted without changing any path's output
   bit for bit.
 
-* **Pruning equivalence** — the disjoint predicates with and without
-  :func:`repro.analysis.pruning.negation_prunable` evaluate identically
-  under both approaches on cells of every granularity the cube can see.
+The same draws also check the disjoint transform (Section 7.1): its
+predicates partition the bottom cells, and each fact's owning cube has
+the granularity ``Cell(f, t)`` gives it.
 """
 
 import datetime as dt
@@ -34,11 +34,12 @@ from repro.checks.prover import ProverConfig, sample_times
 from repro.engine.disjoint import disjoint_actions
 from repro.obs import metrics as obs_metrics
 from repro.query.compare import Approach
+from repro.reduction.auxiliary import cell as cell_of
 from repro.reduction.reducer import BACKENDS, reduce_mo
 from repro.reduction.telemetry import REDUCE_ADMITTED
 from repro.spec.action import Action
 from repro.spec.ast import And, Not, Or
-from repro.spec.predicate import cell_satisfies
+from repro.spec.predicate import cell_satisfies, satisfies
 from repro.spec.ranges import profiles_of
 from repro.spec.specification import ReductionSpecification
 from repro.sql.loader import SqlWarehouse
@@ -354,10 +355,10 @@ def cells_at(mo, granularity: dict[str, str]):
     return [{"Time": t, "URL": u} for t in times for u in urls]
 
 
-class TestPruningEquivalence:
+class TestDisjointPartition:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_pruned_predicates_bit_for_bit_identical(self, data):
+    def test_predicates_partition_cells_as_placement_does(self, data):
         if data.draw(st.booleans()):
             mo, specification = data.draw(mos_with_specs())
         else:
@@ -368,18 +369,28 @@ class TestPruningEquivalence:
                 data.draw(st.integers(min_value=1, max_value=3)),
             )
         at = data.draw(evaluation_times())
-        pruned = disjoint_actions(specification)
-        unpruned = disjoint_actions(specification, prune=False)
-        assert [c.name for c in pruned] == [c.name for c in unpruned]
-        for cube_p, cube_u in zip(pruned, unpruned):
-            granularity = dict(
-                zip(mo.schema.dimension_names, cube_p.granularity)
+        cubes = disjoint_actions(specification)
+        for cell in bottom_cells(mo):
+            for approach in (Approach.CONSERVATIVE, Approach.LIBERAL):
+                owners = [
+                    cube.name
+                    for cube in cubes
+                    if cell_satisfies(
+                        mo.dimensions, cell, cube.predicate, at, approach
+                    )
+                ]
+                assert len(owners) == 1, (cell, at, approach, owners)
+        by_granularity = {cube.granularity: cube.name for cube in cubes}
+        actions = list(specification.actions)
+        for fact_id in mo.facts():
+            target = cell_of(mo, actions, fact_id, at)
+            granularity = tuple(
+                mo.dimensions[name].category_of(value)
+                for name, value in zip(mo.schema.dimension_names, target)
             )
-            cells = cells_at(mo, granularity) + bottom_cells(mo)
-            for cell in cells:
-                for approach in (Approach.CONSERVATIVE, Approach.LIBERAL):
-                    assert cell_satisfies(
-                        mo.dimensions, cell, cube_p.predicate, at, approach
-                    ) == cell_satisfies(
-                        mo.dimensions, cell, cube_u.predicate, at, approach
-                    ), (cube_p.name, cell, at, approach)
+            (owner,) = [
+                cube.name
+                for cube in cubes
+                if satisfies(mo, fact_id, cube.predicate, at)
+            ]
+            assert owner == by_granularity[granularity], (fact_id, at)

@@ -632,6 +632,31 @@ class TestObservabilityCli:
         assert rows and all("Time" in row for row in rows)
         assert "query returned" in captured.err
 
+    @pytest.mark.parametrize("at", ["2000-06-05", "2000-11-05"])
+    @pytest.mark.parametrize("predicate", [None, "URL.domain_grp = '.com'"])
+    def test_unsynchronized_query_equals_synchronized(
+        self, stored, capsys, at, predicate
+    ):
+        mo_file, spec_file = stored
+        argv = [
+            "query",
+            str(mo_file),
+            str(spec_file),
+            "--at",
+            at,
+            "--granularity",
+            "Time=month,URL=domain",
+        ]
+        if predicate is not None:
+            argv += ["--predicate", predicate]
+        answers = []
+        for extra in ([], ["--unsynchronized"]):
+            assert main(argv + extra) == 0
+            answers.append(json.loads(capsys.readouterr().out))
+        synchronized, unsynchronized = answers
+        assert synchronized
+        assert unsynchronized == synchronized
+
     def test_query_stats_counts_plan_cache(self, stored, capsys):
         from .obs.promparse import parse, sample_value
 
