@@ -73,6 +73,10 @@ class Dimension:
         self._ancestor_cache: dict[tuple[str, str], str | None] = {}
         self._available_cache: dict[tuple[str, str], tuple[str, str]] = {}
         self._subdimension_cache: dict[frozenset[str], Dimension] = {}
+        #: Bumped by every ``add_value`` (the one writer of the content
+        #: above); keys the memo of :meth:`memoized_digest`.
+        self._edits = 0
+        self._digest_memo: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -103,6 +107,7 @@ class Dimension:
                 f"{self.name}: value {value!r} already in category "
                 f"{existing!r}, cannot also join {category!r}"
             )
+        self._edits += 1
         self._category_of[value] = category
         self._values[category].add(value)
         self._parents.setdefault(value, set())
@@ -173,6 +178,13 @@ class Dimension:
             ]
         )
         return zlib.crc32("\n".join(rows).encode("utf-8"))
+
+    def memoized_digest(self) -> int:
+        """:meth:`digest`, recomputed only after an ``add_value``."""
+        memo = self._digest_memo
+        if memo is None or memo[0] != self._edits:
+            memo = self._digest_memo = (self._edits, self.digest())
+        return memo[1]
 
     def category_of(self, value: str) -> str:
         try:

@@ -30,6 +30,12 @@ class MultidimensionalObject:
     #: memoizing row validator (one code path with bulk ingest).
     _validator: RowValidator | None = None
 
+    #: Set (per instance) only by the :class:`~repro.engine.subcube.SubCube`
+    #: that created this MO, at its first fact block: the ids of the facts
+    #: the three mutators touched since the cube last derived its block.
+    #: Every other MO records nothing.
+    _changed: set[str] | None = None
+
     def __init__(
         self,
         schema: FactSchema,
@@ -136,6 +142,8 @@ class MultidimensionalObject:
             fact_id, coordinates, measure_values, bottom_only=bottom_only
         )
         self.mutations += 1
+        if self._changed is not None:
+            self._changed.add(fact_id)
         for name in self.schema.dimension_names:
             self.relations[name].link(fact_id, canonical[name])
         for name in self.schema.measure_names:
@@ -151,6 +159,8 @@ class MultidimensionalObject:
         if fact_id not in self._facts:
             raise FactError(f"unknown fact {fact_id!r}")
         self.mutations += 1
+        if self._changed is not None:
+            self._changed.add(fact_id)
         for relation in self.relations.values():
             relation.unlink(fact_id)
         for measure in self.measures.values():
@@ -318,6 +328,9 @@ class MultidimensionalObject:
             self.measures[name]._values for name in self.schema.measure_names
         ]
         self.mutations += 1
+        if self._changed is not None:
+            rows = list(rows)
+            self._changed.update(row[0] for row in rows)
         for fact_id, cell, measure_values, provenance in rows:
             if fact_id in facts:
                 raise FactError(f"fact {fact_id!r} already exists")

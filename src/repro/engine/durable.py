@@ -512,63 +512,79 @@ class DurableStore(SubcubeStore):
         then the same dance for the ``CURRENT`` manifest; a crash at any
         point leaves the previous snapshot (or none) fully intact.
         """
-        self._faults.hit("snapshot.write")
-        lsn = self._journal.last_lsn
-        spec_stream = _stdio.StringIO()
-        dump_specification(self._specification, spec_stream)
-        header = canonical_json(
-            {
-                "format": FORMAT_VERSION,
-                "lsn": lsn,
-                "last_sync": (
-                    self.last_sync.isoformat() if self.last_sync else None
-                ),
-                "last_sync_examined": int(
-                    self.metrics.value(SYNC_LAST_EXAMINED) or 0
-                ),
-                "dirty": sorted(self._dirty),
-                "spec": spec_stream.getvalue(),
-            }
-        )
-        cubes = ",".join(
-            f'{json.dumps(name)}:{{"facts":{cube.frozen_block().text}}}'
-            for name, cube in sorted(self.cubes.items())
-        )
-        # ``cubes`` sorts before every header key and each block text is
-        # canonical already, so the splice *is* the sorted compact
-        # encoding of the body that _crc() re-derives at recovery.
-        body = f'{{"cubes":{{{cubes}}},{header[1:]}'
-        crc = zlib.crc32(body.encode("utf-8"))
-        directory = os.path.join(self.path, SNAPSHOT_DIR)
-        os.makedirs(directory, exist_ok=True)
-        filename = f"snap-{lsn:012d}.json"
-        final_path = os.path.join(directory, filename)
-        tmp_path = final_path + ".tmp"
-        # A full or failing disk surfaces here as a realistic OSError
-        # (never a half-published snapshot: the write-temp → rename
-        # protocol below leaves the previous snapshot untouched).
-        self._faults.hit("disk.enospc")
-        self._faults.hit("disk.eio")
-        with open(tmp_path, "w", encoding="utf-8") as stream:
-            stream.write(f'{{"crc":{crc},"snapshot":{body}}}')
-            stream.flush()
-            self._faults.hit("snapshot.fsync")
+        with trace.span("snapshot.write") as write_span:
+            self._faults.hit("snapshot.write")
+            lsn = self._journal.last_lsn
+            spec_stream = _stdio.StringIO()
+            dump_specification(self._specification, spec_stream)
+            header = canonical_json(
+                {
+                    "format": FORMAT_VERSION,
+                    "lsn": lsn,
+                    "last_sync": (
+                        self.last_sync.isoformat() if self.last_sync else None
+                    ),
+                    "last_sync_examined": int(
+                        self.metrics.value(SYNC_LAST_EXAMINED) or 0
+                    ),
+                    "dirty": sorted(self._dirty),
+                    "spec": spec_stream.getvalue(),
+                }
+            )
+            rederived = encoded = facts = 0
+            parts = []
+            for name, cube in sorted(self.cubes.items()):
+                stale = cube.block_stale
+                block = cube.frozen_block()
+                if stale:
+                    rederived += 1
+                    encoded += block.encoded
+                facts += len(block.fragments)
+                parts.append(f'{json.dumps(name)}:{{"facts":{block.text}}}')
+            # ``cubes`` sorts before every header key and each block text
+            # is canonical already, so the splice *is* the sorted compact
+            # encoding of the body that _crc() re-derives at recovery.
+            body = f'{{"cubes":{{{",".join(parts)}}},{header[1:]}'
+            body_bytes = body.encode("utf-8")
+            crc = zlib.crc32(body_bytes)
+            prefix = f'{{"crc":{crc},"snapshot":'
+            write_span.set_attribute(
+                "bytes", len(prefix) + len(body_bytes) + 1
+            )
+            write_span.set_attribute("cubes_rederived", rederived)
+            write_span.set_attribute("facts_encoded", encoded)
+            write_span.set_attribute("facts_reused", facts - encoded)
+            directory = os.path.join(self.path, SNAPSHOT_DIR)
+            os.makedirs(directory, exist_ok=True)
+            filename = f"snap-{lsn:012d}.json"
+            final_path = os.path.join(directory, filename)
+            tmp_path = final_path + ".tmp"
+            # A full or failing disk surfaces here as a realistic OSError
+            # (never a half-published snapshot: the write-temp → rename
+            # protocol below leaves the previous snapshot untouched).
+            self._faults.hit("disk.enospc")
+            self._faults.hit("disk.eio")
+            with open(tmp_path, "w", encoding="utf-8") as stream:
+                stream.write(f"{prefix}{body}}}")
+                stream.flush()
+                self._faults.hit("snapshot.fsync")
+                if self._fsync_enabled:
+                    os.fsync(stream.fileno())
+            self._faults.hit("snapshot.rename")
+            os.replace(tmp_path, final_path)
             if self._fsync_enabled:
-                os.fsync(stream.fileno())
-        self._faults.hit("snapshot.rename")
-        os.replace(tmp_path, final_path)
-        if self._fsync_enabled:
-            fsync_directory(directory)
-        self._faults.hit("snapshot.manifest")
-        with atomic_write(
-            os.path.join(self.path, MANIFEST_FILE), fsync=self._fsync_enabled
-        ) as stream:
-            json.dump({"file": filename, "lsn": lsn, "crc": crc}, stream)
-        _prune_snapshots(directory)
-        self.metrics.counter(
-            SNAPSHOT_WRITES, help="Snapshots atomically published."
-        ).inc()
-        return final_path
+                fsync_directory(directory)
+            self._faults.hit("snapshot.manifest")
+            with atomic_write(
+                os.path.join(self.path, MANIFEST_FILE),
+                fsync=self._fsync_enabled,
+            ) as stream:
+                json.dump({"file": filename, "lsn": lsn, "crc": crc}, stream)
+            _prune_snapshots(directory)
+            self.metrics.counter(
+                SNAPSHOT_WRITES, help="Snapshots atomically published."
+            ).inc()
+            return final_path
 
     # ------------------------------------------------------------------
     # Audit

@@ -7,14 +7,51 @@ evaluation time) exactly which cells it owns.
 
 from __future__ import annotations
 
+import json
 import zlib
+from itertools import repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from ..core.facts import Provenance, aggregate_fact_id
 from ..core.mo import MultidimensionalObject
 from ..errors import EngineError
-from ..io import canonical_json, mo_facts_to_list
 from .disjoint import DisjointAction
+
+#: The one encoder every fact fragment goes through: the settings of
+#: :func:`repro.io.canonical_json`, built once instead of per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _encode_facts(
+    mo: MultidimensionalObject, fact_ids: list[str]
+) -> list[str]:
+    """Each fact's entry of :func:`repro.io.mo_facts_to_list`, encoded
+    canonically on its own (the list's encoding is these joined)."""
+    schema = mo.schema
+    dimensions = schema.dimension_names
+    measures = schema.measure_names
+    cells = zip(
+        *[mo.relations[name].values_of(fact_ids) for name in dimensions]
+    )
+    values = (
+        zip(*[mo.measures[name].values_of(fact_ids) for name in measures])
+        if measures
+        else repeat(())
+    )
+    encode = _ENCODER.encode
+    return [
+        encode(
+            {
+                "id": fact_id,
+                "coordinates": dict(zip(dimensions, cell)),
+                "measures": dict(zip(measures, row)),
+                "members": sorted(provenance.members),
+            }
+        )
+        for fact_id, provenance, cell, row in zip(
+            fact_ids, map(mo.provenance, fact_ids), cells, values
+        )
+    ]
 
 
 class FactBlock(NamedTuple):
@@ -28,17 +65,52 @@ class FactBlock(NamedTuple):
 
     #: An immutable copy of the cube's MO (never handed to a writer).
     mo: MultidimensionalObject
-    #: Canonical compact JSON of the facts, sorted by id.
+    #: Canonical compact JSON of the facts, sorted by id: byte for byte
+    #: ``canonical_json(mo_facts_to_list(mo))``.
     text: str
     #: CRC-32 of ``text``.
     crc: int
+    #: Each fact's canonical JSON by fact id; ``text`` is their join in
+    #: sorted id order.  Never changed after the block is built.
+    fragments: dict[str, str]
+    #: How many fragments deriving this block encoded (the rest were
+    #: reused from the previous block).
+    encoded: int
 
     @classmethod
     def of(cls, mo: MultidimensionalObject) -> "FactBlock":
         """Derive the block from *mo*'s content (no memo involved)."""
         frozen = mo.copy()
-        text = canonical_json(mo_facts_to_list(frozen))
-        return cls(frozen, text, zlib.crc32(text.encode("utf-8")))
+        fact_ids = list(frozen.facts())
+        fragments = dict(zip(fact_ids, _encode_facts(frozen, fact_ids)))
+        return cls._assemble(frozen, fragments, len(fragments))
+
+    def advanced(
+        self, mo: MultidimensionalObject, changed: set[str]
+    ) -> "FactBlock":
+        """The block of *mo*, whose facts differ from this block's at most
+        at the *changed* ids: those are re-encoded, every other fragment
+        is reused."""
+        frozen = mo.copy()
+        fragments = dict(self.fragments)
+        for fact_id in changed:
+            fragments.pop(fact_id, None)
+        present = [fact_id for fact_id in changed if fact_id in frozen]
+        fragments.update(zip(present, _encode_facts(frozen, present)))
+        return self._assemble(frozen, fragments, len(present))
+
+    @classmethod
+    def _assemble(
+        cls,
+        frozen: MultidimensionalObject,
+        fragments: dict[str, str],
+        encoded: int,
+    ) -> "FactBlock":
+        joined = ",".join(map(fragments.__getitem__, sorted(fragments)))
+        text = f"[{joined}]"
+        return cls(
+            frozen, text, zlib.crc32(text.encode("utf-8")), fragments, encoded
+        )
 
 
 class SubCube:
@@ -56,6 +128,8 @@ class SubCube:
         self.definition = definition
         self._mo = template.empty_like()
         #: ``(mutation count, block)`` of the last :meth:`frozen_block`.
+        #: From the cube's first block on, its MO's ``_changed`` names
+        #: the facts written since.
         self._block: tuple[int, FactBlock] | None = None
 
     @property
@@ -179,17 +253,41 @@ class SubCube:
         mutations = self._mo.mutations
         self._mo = self._mo.empty_like()
         self._mo.mutations = mutations + 1
+        self._block = None
+
+    @property
+    def block_stale(self) -> bool:
+        """Whether the next :meth:`frozen_block` derives a new block."""
+        memo = self._block
+        return memo is None or memo[0] != self._mo.mutations
 
     def frozen_block(self) -> FactBlock:
-        """The cube's :class:`FactBlock`, re-derived only after a mutation."""
-        mutations = self._mo.mutations
+        """The cube's :class:`FactBlock`, re-derived only after a mutation
+        and then re-encoding only the facts written since the last one."""
+        mo = self._mo
         memo = self._block
-        if memo is None or memo[0] != mutations:
-            memo = self._block = (mutations, FactBlock.of(self._mo))
+        if memo is None or memo[0] != mo.mutations:
+            changed = mo._changed
+            if changed is None:
+                block = FactBlock.of(mo)
+                if memo is None:
+                    # The cube's own MO (created by __init__ or clear):
+                    # record the facts written from this block on.
+                    mo._changed = set()
+            else:
+                block = memo[1].advanced(mo, changed)
+                changed.clear()
+            memo = self._block = (mo.mutations, block)
         return memo[1]
 
     def share_frozen(self, live: "SubCube") -> None:
-        """Hold *live*'s frozen MO (and its block) instead of a copy."""
+        """Hold *live*'s frozen MO (and its block) instead of a copy.
+
+        The frozen MO records no changed facts, and holding a block
+        means this cube never starts it recording, so were it ever
+        written (a torn version) the cube would re-derive its block
+        from content, never from fragments another version shares.
+        """
         block = live.frozen_block()
         self._mo = block.mo
         self._block = (block.mo.mutations, block)

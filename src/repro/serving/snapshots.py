@@ -37,29 +37,39 @@ def store_fingerprint(store: SubcubeStore) -> str:
 
     Two stores with equal fingerprints are observably identical; a
     snapshot whose recomputed fingerprint differs from the one taken at
-    publication has been mutated after publish — a torn version.  Each
-    cube contributes the CRC of its memoized fact block, so only cubes
-    mutated since the last call are re-serialized.
+    publication has been mutated after publish — a torn version.  It
+    reads the memos: each cube's fact-block CRC (re-encoding only the
+    facts written since the last call) and each dimension's digest.
     """
-    return _fingerprint(
-        store,
-        {name: cube.frozen_block().crc for name, cube in store.cubes.items()},
-    )
+    return _fingerprint(store, from_content=False)
 
 
-def _fingerprint(store: SubcubeStore, cube_crcs: dict[str, int]) -> str:
+def _fingerprint(store: SubcubeStore, *, from_content: bool) -> str:
     """Hash per-cube fact-block CRCs with everything the cubes share.
 
-    The dimension digests are recomputed from content on every call;
-    only the fact-block CRCs may come from a memo.
+    :func:`store_fingerprint` passes ``from_content=False`` and reads
+    the fact blocks and dimension digests from their memos;
+    :meth:`StoreSnapshot.verify_integrity` passes ``True`` and re-derives
+    both from content, so a write that bumped no mutation or edit
+    counter still changes the hash.
     """
     schema = store._template.schema
+    dimensions = store._template.dimensions
     canonical = json.dumps(
         {
-            "cubes": cube_crcs,
+            "cubes": {
+                name: (
+                    FactBlock.of(cube.mo) if from_content
+                    else cube.frozen_block()
+                ).crc
+                for name, cube in store.cubes.items()
+            },
             "dimensions": {
-                name: dimension.digest()
-                for name, dimension in store._template.dimensions.items()
+                name: (
+                    dimension.digest() if from_content
+                    else dimension.memoized_digest()
+                )
+                for name, dimension in dimensions.items()
             },
             "fact_type": schema.fact_type,
             "last_sync": (
@@ -157,17 +167,11 @@ class StoreSnapshot:
     def verify_integrity(self) -> bool:
         """Whether the snapshot still hashes to its publication state.
 
-        Every fact block is re-derived from the cubes' content, past the
-        memos, so a write that bumped no mutation counter is caught too.
+        Every fact block and dimension digest is re-derived from content,
+        past the memos and fragments, so a write that bumped no mutation
+        counter is caught too.
         """
-        recomputed = _fingerprint(
-            self._store,
-            {
-                name: FactBlock.of(cube.mo).crc
-                for name, cube in self._store.cubes.items()
-            },
-        )
-        return recomputed == self.fingerprint
+        return _fingerprint(self._store, from_content=True) == self.fingerprint
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -70,6 +70,23 @@ class TestConstruction:
         assert dimension.parents("a.com") == {".com"}
 
 
+class TestDigest:
+    def test_memo_follows_add_value(self, url_dim):
+        digest = url_dim.memoized_digest()
+        assert digest == url_dim.digest()
+        url_dim.add_value("url", "cnn.com/c", ["cnn.com"])
+        assert url_dim.memoized_digest() == url_dim.digest() != digest
+
+    def test_readding_a_parent_link_is_an_edit(self, url_type):
+        dimension = Dimension(url_type)
+        dimension.add_value("domain_grp", ".com")
+        dimension.add_value("domain_grp", ".org")
+        dimension.add_value("domain", "a.com", [".com"])
+        digest = dimension.memoized_digest()
+        dimension.add_value("domain", "a.com", [".org"])
+        assert dimension.memoized_digest() == dimension.digest() != digest
+
+
 class TestContainment:
     def test_le_reflexive(self, url_dim):
         assert url_dim.le_value("cnn.com/a", "cnn.com/a")

@@ -31,6 +31,7 @@ from repro.experiments.paper_example import (
     paper_specification,
 )
 from repro.io import mo_to_dict
+from repro.obs import trace
 from repro.serving import SnapshotManager, store_fingerprint
 from repro.spec.action import Action
 from repro.spec.specification import ReductionSpecification
@@ -345,6 +346,35 @@ class TestRecovery:
             json.dump({"format": 99}, stream)
         with pytest.raises(RecoveryError, match="format"):
             open_durable(str(tmp_path / "d"))
+
+
+class TestSnapshotSpan:
+    def test_the_span_says_what_was_encoded_and_reused(
+        self, tmp_path, mo, spec
+    ):
+        store = make_store(tmp_path / "d", mo, spec, fsync=False)
+        facts = facts_of(mo)
+        store.load(facts[:-1])
+        store.snapshot()
+        store.load(facts[-1:])
+        with trace.recording() as recorder:
+            path = store.snapshot()
+            unchanged = store.snapshot()
+        first, second = recorder.find("snapshot.write")
+        total = store.total_facts()
+        assert first.attributes == {
+            "bytes": os.path.getsize(path),
+            "cubes_rederived": 1,
+            "facts_encoded": 1,
+            "facts_reused": total - 1,
+        }
+        assert second.attributes == {
+            "bytes": os.path.getsize(unchanged),
+            "cubes_rederived": 0,
+            "facts_encoded": 0,
+            "facts_reused": total,
+        }
+        store.close()
 
 
 class TestSnapshotRetention:
