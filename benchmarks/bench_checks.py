@@ -10,7 +10,7 @@ import pytest
 
 from repro.checks.growing import check_growing
 from repro.checks.noncrossing import check_noncrossing
-from repro.checks.prover import ProverConfig
+from repro.checks.prover import Prover, ProverConfig
 from repro.experiments.paper_example import build_paper_mo
 from repro.spec.action import Action
 
@@ -46,8 +46,7 @@ def test_b3_noncrossing_scaling(benchmark, count):
     actions = make_actions(mo, count)
     config = ProverConfig(horizon_years=3)
     violations = benchmark.pedantic(
-        check_noncrossing,
-        args=(actions, mo.dimensions, config),
+        lambda: check_noncrossing(actions, Prover(mo.dimensions, config)),
         rounds=2,
         iterations=1,
     )
@@ -62,7 +61,9 @@ def test_b3_growing_check_cost(benchmark):
     actions = [action_a1(mo), action_a2(mo)]
     config = ProverConfig(horizon_years=3)
     violations = benchmark.pedantic(
-        check_growing, args=(actions, mo.dimensions, config), rounds=2, iterations=1
+        lambda: check_growing(actions, Prover(mo.dimensions, config)),
+        rounds=2,
+        iterations=1,
     )
     assert not violations
 
@@ -73,8 +74,7 @@ def test_b3_growing_violation_detection_cost(benchmark):
 
     config = ProverConfig(horizon_years=3)
     violations = benchmark.pedantic(
-        check_growing,
-        args=([action_a1(mo)], mo.dimensions, config),
+        lambda: check_growing([action_a1(mo)], Prover(mo.dimensions, config)),
         rounds=2,
         iterations=1,
     )

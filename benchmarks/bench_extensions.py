@@ -15,7 +15,7 @@ import datetime as dt
 import pytest
 
 from repro.checks.growing import check_growing
-from repro.checks.prover import ProverConfig
+from repro.checks.prover import Prover, ProverConfig
 from repro.experiments.metrics import fidelity, snapshot
 from repro.query.disaggregation import aggregate_disaggregated
 from repro.reduction.extensions import (
@@ -150,14 +150,13 @@ def test_b12_prover_horizon_ablation(benchmark, horizon_years):
     actions = [action_a1(mo), action_a2(mo)]
     config = ProverConfig(horizon_years=horizon_years)
     violations = benchmark.pedantic(
-        check_growing,
-        args=(actions, mo.dimensions, config),
+        lambda: check_growing(actions, Prover(mo.dimensions, config)),
         rounds=2,
         iterations=1,
     )
     # The verdict is horizon-stable: the pair is Growing at any horizon.
     assert not violations
-    bad = check_growing([actions[0]], mo.dimensions, config)
+    bad = check_growing([actions[0]], Prover(mo.dimensions, config))
     assert bad
     emit(
         f"B12 horizon={horizon_years}y",

@@ -44,6 +44,7 @@ from .core import (
     dimension_type_from_chains,
 )
 from .checks import (
+    Prover,
     check_growing,
     check_noncrossing,
     classify_action,
@@ -117,6 +118,7 @@ __all__ = [
     "MultidimensionalObject",
     "NonCrossingViolation",
     "Provenance",
+    "Prover",
     "Query",
     "ReductionSpecification",
     "ReproError",

@@ -47,11 +47,6 @@ def register_cache(
     _REGISTRY[name] = (clearer, size)
 
 
-def registered_names() -> tuple[str, ...]:
-    """The names of every registered cache, in registration order."""
-    return tuple(_REGISTRY)
-
-
 def clear_all() -> None:
     """Empty every registered cache (the fork-time sweep)."""
     for clearer, _ in _REGISTRY.values():

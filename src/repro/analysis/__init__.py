@@ -2,10 +2,11 @@
 
 The package interprets specification predicates over a *box domain*: each
 DNF disjunct abstracts to per-dimension grounded value regions
-(:func:`repro.checks.prover.categorical_regions`) plus a day-axis time
-window (:func:`repro.spec.ranges.window_at`), evaluated against the
+(:meth:`repro.checks.prover.Prover.regions`) plus a day-axis time window
+(:meth:`repro.checks.prover.Prover.window`), evaluated against the
 dimension instances and the bounded prover's sampled horizon.  On top of
-the domain sit three analyses:
+the domain sit three analyses, each reading one
+:class:`~repro.checks.prover.Prover` per analysed specification:
 
 * :func:`repro.analysis.matrix.relationship_matrix` — a sound
   action-relationship matrix (DISJOINT / SUBSUMED / SUBSUMES /
@@ -22,14 +23,6 @@ and bundles them with the cost estimates into the
 renders.
 """
 
-from .boxes import (
-    ConjunctBox,
-    box_is_exact,
-    boxes_of,
-    profile_contained,
-    region_contained,
-    window_modelled_exactly,
-)
 from .cost import ActionCost, estimate_costs
 from .matrix import (
     PairRelation,
@@ -43,18 +36,12 @@ from .report import ANALYSIS_SCHEMA, SpecAnalysis
 __all__ = [
     "ANALYSIS_SCHEMA",
     "ActionCost",
-    "ConjunctBox",
     "PairRelation",
     "ReachabilityResult",
     "RelationshipMatrix",
     "SpecAnalysis",
     "Verdict",
-    "box_is_exact",
-    "boxes_of",
     "estimate_costs",
-    "profile_contained",
-    "region_contained",
     "relationship_matrix",
-    "window_modelled_exactly",
     "reachability",
 ]

@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..checks.prover import (
-    ProverConfig,
-    categorical_regions,
-    profiles_overlap,
-    region_is_symbolic,
-)
+from ..checks.prover import Prover, region_is_symbolic
 from ..core.dimension import Dimension
 from ..spec.action import Action, is_time_dimension_type
-from ..spec.ranges import ConjunctProfile, profiles_of, window_at
+from ..spec.ranges import ConjunctProfile
 from ..timedim.calendar import first_day
 
 
@@ -70,20 +65,18 @@ def _category_count(dimension: Dimension, category: str) -> int | None:
 
 
 def _profile_cells(
-    profile: ConjunctProfile,
-    action: Action,
-    dimensions: Mapping[str, Dimension],
-    config: ProverConfig,
+    profile: ConjunctProfile, action: Action, prover: Prover
 ) -> int | None:
     """Upper bound on bottom cells this disjunct admits at the reference."""
-    regions = categorical_regions(profile, dimensions)
+    dimensions = prover.dimensions
+    regions = prover.regions(profile)
     cells = 1
     for name in action.schema.dimension_names:
         dimension = dimensions.get(name)
         if dimension is None:
             return None
         if is_time_dimension_type(action.schema.dimension_type(name)):
-            window = window_at(profile, config.reference)
+            window = prover.window(profile, prover.config.reference)
             days = _bottom_days(dimension)
             if window is None:
                 cells *= len(days)
@@ -102,23 +95,14 @@ def _profile_cells(
 
 
 def estimate_costs(
-    actions: Sequence[Action],
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
+    actions: Sequence[Action], prover: Prover
 ) -> tuple[ActionCost, ...]:
     """One static cost estimate per action, in input order."""
-    config = config or ProverConfig()
-    out: list[ActionCost] = []
-    for action in actions:
-        out.append(_estimate(action, dimensions, config))
-    return tuple(out)
+    return tuple(_estimate(action, prover) for action in actions)
 
 
-def _estimate(
-    action: Action,
-    dimensions: Mapping[str, Dimension] | None,
-    config: ProverConfig,
-) -> ActionCost:
+def _estimate(action: Action, prover: Prover) -> ActionCost:
+    dimensions = prover.dimensions
     schema = action.schema
     names = schema.dimension_names
     total: int | None = None
@@ -137,10 +121,8 @@ def _estimate(
             else:
                 rollup = None
         admitted = 0
-        for profile in profiles_of(action):
-            if not profiles_overlap(profile, profile, dimensions, config):
-                continue
-            cells = _profile_cells(profile, action, dimensions, config)
+        for profile in prover.live(action):
+            cells = _profile_cells(profile, action, prover)
             if cells is None:
                 admitted = None
                 break

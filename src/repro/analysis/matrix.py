@@ -25,19 +25,12 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from ..checks.prover import (
-    OverlapWitness,
-    ProverConfig,
-    overlap_witness,
-    profiles_overlap,
-)
-from ..core.dimension import Dimension
+from ..checks.prover import OverlapWitness, Prover
 from ..spec.action import Action, is_time_dimension_type
-from ..spec.ranges import ConjunctProfile, profiles_of, window_at
+from ..spec.ranges import ConjunctProfile
 from ..timedim.calendar import first_day
-from .boxes import ConjunctBox, box_is_exact, boxes_of, profile_contained
 
 
 class Verdict(enum.Enum):
@@ -132,18 +125,19 @@ def _time_dimension_name(action: Action) -> str | None:
 
 
 def _grounded_day(
-    dimensions: Mapping[str, Dimension] | None,
+    prover: Prover,
     time_dimension: str | None,
     p1: ConjunctProfile,
     p2: ConjunctProfile,
     at: _dt.date,
 ) -> _dt.date | None:
     """A materialized day admitted by both windows at time *at*."""
-    if dimensions is None or time_dimension not in (dimensions or {}):
+    dimensions = prover.dimensions
+    if dimensions is None or time_dimension not in dimensions:
         return None
     dimension = dimensions[time_dimension]
-    w1 = window_at(p1, at)
-    w2 = window_at(p2, at)
+    w1 = prover.window(p1, at)
+    w2 = prover.window(p2, at)
     for value in sorted(dimension.values(dimension.bottom_category)):
         day = first_day(dimension.bottom_category, value)
         ordinal = float(day.toordinal())
@@ -156,10 +150,7 @@ def _grounded_day(
 
 
 def _verified_witness(
-    box_a: ConjunctBox,
-    box_b: ConjunctBox,
-    dimensions: Mapping[str, Dimension] | None,
-    config: ProverConfig,
+    p1: ConjunctProfile, p2: ConjunctProfile, prover: Prover
 ) -> OverlapWitness | None:
     """A witness whose every coordinate is grounded and re-checked.
 
@@ -168,14 +159,12 @@ def _verified_witness(
     materialized day inside both exact windows, so both disjuncts
     certainly admit the cell at the witness time.
     """
-    if not (box_is_exact(box_a) and box_is_exact(box_b)):
+    if not (prover.exact(p1) and prover.exact(p2)):
         return None
-    candidate = overlap_witness(
-        box_a.profile, box_b.profile, dimensions, config
-    )
+    candidate = prover.witness(p1, p2)
     if candidate is None:
         return None
-    action = box_a.action
+    action = p1.action
     time_dimension = _time_dimension_name(action)
     cell = candidate.cell_mapping()
     for name in action.schema.dimension_names:
@@ -183,77 +172,38 @@ def _verified_witness(
             continue
         if name not in cell:
             return None  # could not ground this dimension
-    timed = bool(box_a.profile.time_atoms or box_b.profile.time_atoms)
+    timed = bool(p1.time_atoms or p2.time_atoms)
     day = candidate.day
     if timed or time_dimension is not None:
-        day = _grounded_day(
-            dimensions,
-            time_dimension,
-            box_a.profile,
-            box_b.profile,
-            candidate.at,
-        )
+        day = _grounded_day(prover, time_dimension, p1, p2, candidate.at)
         if day is None:
             return None
     return OverlapWitness(candidate.at, day, tuple(sorted(cell.items())))
 
 
 def relationship_matrix(
-    actions: Sequence[Action],
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
+    actions: Sequence[Action], prover: Prover
 ) -> RelationshipMatrix:
     """Classify every action pair; sound, possibly ``UNKNOWN``."""
-    config = config or ProverConfig()
     matrix = RelationshipMatrix(tuple(a.name for a in actions))
-    all_boxes = {a.name: boxes_of(a, dimensions) for a in actions}
-    live: dict[str, list[ConjunctBox]] = {
-        a.name: [
-            box
-            for box in all_boxes[a.name]
-            if profiles_overlap(box.profile, box.profile, dimensions, config)
-        ]
-        for a in actions
-    }
     for i, a in enumerate(actions):
         for b in actions[i + 1 :]:
-            matrix.relations[(a.name, b.name)] = _classify(
-                a, b, all_boxes, live, dimensions, config
-            )
+            matrix.relations[(a.name, b.name)] = _classify(a, b, prover)
     return matrix
 
 
-def _contained(
-    inner: Iterable[ConjunctBox],
-    outer: Sequence[ConjunctBox],
-    dimensions: Mapping[str, Dimension] | None,
-    config: ProverConfig,
-) -> bool:
-    return all(
-        any(
-            profile_contained(box.profile, other.profile, dimensions, config)
-            for other in outer
-        )
-        for box in inner
+def _contained(inner: Action, outer: Action, prover: Prover) -> bool:
+    """Every live disjunct of *inner* lies in one disjunct of *outer*."""
+    live = prover.live(inner)
+    return bool(live) and all(
+        any(prover.contained(p, q) for q in prover.profiles(outer))
+        for p in live
     )
 
 
-def _classify(
-    a: Action,
-    b: Action,
-    all_boxes: Mapping[str, Sequence[ConjunctBox]],
-    live: Mapping[str, Sequence[ConjunctBox]],
-    dimensions: Mapping[str, Dimension] | None,
-    config: ProverConfig,
-) -> PairRelation:
-    live_a = live[a.name]
-    live_b = live[b.name]
-    overlap = any(
-        profiles_overlap(pa.profile, pb.profile, dimensions, config)
-        for pa in live_a
-        for pb in live_b
-    )
-    if not overlap:
+def _classify(a: Action, b: Action, prover: Prover) -> PairRelation:
+    pairs = [(pa, pb) for pa in prover.live(a) for pb in prover.live(b)]
+    if not any(prover.overlaps(pa, pb) for pa, pb in pairs):
         return PairRelation(
             a.name,
             b.name,
@@ -261,12 +211,8 @@ def _classify(
             "no conjunct pair admits a common bottom cell at any sampled "
             "evaluation time",
         )
-    a_in_b = bool(live_a) and _contained(
-        live_a, all_boxes[b.name], dimensions, config
-    )
-    b_in_a = bool(live_b) and _contained(
-        live_b, all_boxes[a.name], dimensions, config
-    )
+    a_in_b = _contained(a, b, prover)
+    b_in_a = _contained(b, a, prover)
     if a_in_b and b_in_a:
         return PairRelation(
             a.name,
@@ -291,23 +237,20 @@ def _classify(
             f"every cell {b.name!r} admits is admitted by {a.name!r} at "
             "every sampled time",
         )
-    candidate: OverlapWitness | None = None
-    for pa in live_a:
-        for pb in live_b:
-            verified = _verified_witness(pa, pb, dimensions, config)
-            if verified is not None:
-                return PairRelation(
-                    a.name,
-                    b.name,
-                    Verdict.OVERLAPPING,
-                    "a materialized bottom cell is admitted by both "
-                    "actions at the witness time",
-                    witness=verified,
-                )
-            if candidate is None:
-                candidate = overlap_witness(
-                    pa.profile, pb.profile, dimensions, config
-                )
+    for pa, pb in pairs:
+        verified = _verified_witness(pa, pb, prover)
+        if verified is not None:
+            return PairRelation(
+                a.name,
+                b.name,
+                Verdict.OVERLAPPING,
+                "a materialized bottom cell is admitted by both "
+                "actions at the witness time",
+                witness=verified,
+            )
+    candidate = next(
+        filter(None, (prover.witness(pa, pb) for pa, pb in pairs))
+    )
     return PairRelation(
         a.name,
         b.name,

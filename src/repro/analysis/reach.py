@@ -19,21 +19,16 @@ action is conservatively reported live.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 from ..checks.prover import (
-    ProverConfig,
-    categorical_regions,
+    Prover,
     cell_in_region,
-    enumerate_region_product,
     interval_covered,
-    profiles_overlap,
-    sample_times,
+    window_modelled_exactly,
 )
-from ..core.dimension import Dimension
 from ..spec.action import Action
-from ..spec.ranges import ConjunctProfile, profiles_of, window_at
-from .boxes import window_modelled_exactly
+from ..spec.ranges import ConjunctProfile
 
 _INF = float("inf")
 
@@ -61,31 +56,19 @@ class ReachabilityResult:
 
 
 def reachability(
-    actions: Sequence[Action],
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
+    actions: Sequence[Action], prover: Prover
 ) -> ReachabilityResult:
     """Classify the actions; sound (never calls a live action dead)."""
-    config = config or ProverConfig()
-    profiles = {a.name: profiles_of(a) for a in actions}
-    live_profiles = {
-        a.name: [
-            p
-            for p in profiles[a.name]
-            if profiles_overlap(p, p, dimensions, config)
-        ]
-        for a in actions
-    }
     result = ReachabilityResult()
     unsat: list[str] = []
     live: list[str] = []
     for index, action in enumerate(actions):
-        mine = live_profiles[action.name]
+        mine = prover.live(action)
         if not mine:
             unsat.append(action.name)
             continue
-        catchers = _catcher_profiles(actions, index, profiles)
-        covered_by = _union_covered(mine, catchers, dimensions, config)
+        catchers = _catcher_profiles(actions, index, prover)
+        covered_by = _union_covered(mine, catchers, prover)
         if covered_by is not None:
             result.dead[action.name] = covered_by
         else:
@@ -95,51 +78,48 @@ def reachability(
     return result
 
 
-def _catcher_profiles(
-    actions: Sequence[Action],
-    index: int,
-    profiles: Mapping[str, Sequence[ConjunctProfile]],
-) -> list[tuple[str, ConjunctProfile]]:
-    """Exact disjuncts of actions at coarser-or-equal granularity.
+def coarser_actions(actions: Sequence[Action], index: int) -> Iterator[Action]:
+    """The actions that may claim the cells of ``actions[index]``: those
+    at a coarser-or-equal granularity.
 
     For duplicates at the same granularity only the *earlier* action may
-    act as catcher, so exactly one of a duplicated pair is reported dead
-    (mirroring the SDR106 convention).
+    claim, so exactly one of a duplicated pair is reported (dead here,
+    shadowed by SDR106 and SDR202).
     """
     action = actions[index]
-    out: list[tuple[str, ConjunctProfile]] = []
     for j, other in enumerate(actions):
         if j == index or not action.le(other):
             continue
         if action.cat() == other.cat() and j > index:
             continue
-        for q in profiles[other.name]:
-            if q.unmodelled_atoms or not window_modelled_exactly(q):
-                continue  # an over-approximated catcher cannot prove cover
-            out.append((other.name, q))
-    return out
+        yield other
+
+
+def _catcher_profiles(
+    actions: Sequence[Action], index: int, prover: Prover
+) -> list[tuple[str, ConjunctProfile]]:
+    """Exact disjuncts of the coarser-or-equal actions; an
+    over-approximated catcher cannot prove cover."""
+    return [
+        (other.name, q)
+        for other in coarser_actions(actions, index)
+        for q in prover.profiles(other)
+        if not q.unmodelled_atoms and window_modelled_exactly(q)
+    ]
 
 
 def _union_covered(
     mine: Sequence[ConjunctProfile],
     catchers: Sequence[tuple[str, ConjunctProfile]],
-    dimensions: Mapping[str, Dimension] | None,
-    config: ProverConfig,
+    prover: Prover,
 ) -> tuple[str, ...] | None:
     """The catcher names whose union covers every disjunct, or ``None``."""
     if not catchers:
         return None
     contributors: set[str] = set()
-    catcher_regions = [
-        (name, q, categorical_regions(q, dimensions))
-        for name, q in catchers
-    ]
     for p in mine:
-        regions = categorical_regions(p, dimensions)
-        cells = enumerate_region_product(
-            regions, dimensions, min(config.region_cap, COVERAGE_CELL_CAP)
-        )
-        if cells is None or not cells:
+        cells = prover.cells(p, COVERAGE_CELL_CAP)
+        if not cells:
             return None  # cannot enumerate: stay live
         # Which catchers cover a cell is time-independent; group cells by
         # that signature so the time loop runs once per distinct group.
@@ -147,21 +127,19 @@ def _union_covered(
         for cell in cells:
             signature = tuple(
                 k
-                for k, (_, _, qreg) in enumerate(catcher_regions)
-                if cell_in_region(cell, qreg)
+                for k, (_, q) in enumerate(catchers)
+                if cell_in_region(cell, prover.regions(q))
             )
             if not signature:
                 return None
             signatures.add(signature)
-        horizon = sample_times(
-            [p, *(q for _, q in catchers)], config
-        )
+        horizon = prover.horizon([p, *(q for _, q in catchers)])
         for signature in signatures:
-            group = [catcher_regions[k] for k in signature]
+            group = [catchers[k] for k in signature]
             for t in horizon:
-                target = window_at(p, t) or (-_INF, _INF)
-                pieces = [window_at(q, t) for _, q, _ in group]
+                target = prover.window(p, t) or (-_INF, _INF)
+                pieces = [prover.window(q, t) for _, q in group]
                 if not interval_covered(target, pieces):
                     return None
-            contributors.update(name for name, _, _ in group)
+            contributors.update(name for name, _ in group)
     return tuple(sorted(contributors))

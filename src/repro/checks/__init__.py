@@ -14,13 +14,14 @@ from .noncrossing import (
     is_noncrossing,
     noncrossing_pair,
 )
-from .prover import ProverConfig
+from .prover import Prover, ProverConfig
 
 __all__ = [
     "ActionClass",
     "Classification",
     "CrossingViolation",
     "GrowingCheckViolation",
+    "Prover",
     "ProverConfig",
     "check_growing",
     "check_noncrossing",

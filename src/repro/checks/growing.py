@@ -25,18 +25,10 @@ import datetime as _dt
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..core.dimension import Dimension
 from ..spec.action import Action
-from ..spec.ranges import ConjunctProfile, profiles_of, window_at
+from ..spec.ranges import ConjunctProfile
 from .classify import classify_profile
-from .prover import (
-    ProverConfig,
-    cell_in_region,
-    categorical_regions,
-    enumerate_region_product,
-    interval_covered,
-    sample_times,
-)
+from .prover import Prover, cell_in_region, interval_covered
 
 _INF = float("inf")
 
@@ -62,70 +54,55 @@ class GrowingCheckViolation:
 
 
 def check_growing(
-    actions: Sequence[Action],
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
+    actions: Sequence[Action], prover: Prover
 ) -> list[GrowingCheckViolation]:
     """All Growing violations witnessed on the sampled horizon.
 
     Non-shrinking actions are skipped outright (Theorem 1); for shrinking
     ones the leaving region is re-derived exactly at each sampled day.
     """
-    config = config or ProverConfig()
     violations: list[GrowingCheckViolation] = []
-    all_profiles: list[tuple[Action, ConjunctProfile]] = []
-    for action in actions:
-        for profile in profiles_of(action):
-            all_profiles.append((action, profile))
+    all_profiles = [
+        (action, profile)
+        for action in actions
+        for profile in prover.profiles(action)
+    ]
     for action, profile in all_profiles:
         if not classify_profile(profile).is_shrinking:
             continue
         witness = _check_shrinking_profile(
-            action, profile, all_profiles, dimensions, config
+            action, profile, all_profiles, prover
         )
         if witness is not None:
             violations.append(witness)
     return violations
 
 
-def is_growing(
-    actions: Sequence[Action],
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
-) -> bool:
+def is_growing(actions: Sequence[Action], prover: Prover) -> bool:
     """``Growing(V, O)`` on the sampled horizon (Equation 17)."""
-    return not check_growing(actions, dimensions, config)
+    return not check_growing(actions, prover)
 
 
 def _check_shrinking_profile(
     action: Action,
     profile: ConjunctProfile,
     all_profiles: Sequence[tuple[Action, ConjunctProfile]],
-    dimensions: Mapping[str, Dimension] | None,
-    config: ProverConfig,
+    prover: Prover,
 ) -> GrowingCheckViolation | None:
     # Step 2: candidate catchers must aggregate at least as high in every
     # dimension; an action's own other conjuncts may also catch.
     catchers = [
-        (other, other_profile)
+        other_profile
         for other, other_profile in all_profiles
         if other_profile is not profile and action.le(other)
     ]
-    region = categorical_regions(profile, dimensions)
-    cells = enumerate_region_product(
-        region, dimensions, config.region_cap
-    )
-    catcher_regions = [
-        (other_profile, categorical_regions(other_profile, dimensions))
-        for _, other_profile in catchers
-    ]
+    cells = prover.cells(profile)
     one_day = _dt.timedelta(days=1)
-    profiles_for_horizon = [profile] + [p for _, p in catchers]
-    for t in sample_times(profiles_for_horizon, config):
-        today = window_at(profile, t)
+    for t in prover.horizon([profile, *catchers]):
+        today = prover.window(profile, t)
         if today is None or today[0] > today[1]:
             continue
-        tomorrow = window_at(profile, t + one_day)
+        tomorrow = prover.window(profile, t + one_day)
         leaving = _leaving_interval(today, tomorrow)
         if leaving is None:
             continue
@@ -136,18 +113,18 @@ def _check_shrinking_profile(
             # symbolic region.  Check against catchers that are fully
             # unconstrained categorically.
             covering = [
-                window_at(other_profile, t + one_day)
-                for other_profile, other_region in catcher_regions
-                if all(r is None for r in other_region.values())
+                prover.window(catcher, t + one_day)
+                for catcher in catchers
+                if all(r is None for r in prover.regions(catcher).values())
             ]
             if not interval_covered(leaving, covering):
                 return GrowingCheckViolation(action.name, t, None, leaving)
             continue
         for cell in cells:
             covering = [
-                window_at(other_profile, t + one_day)
-                for other_profile, other_region in catcher_regions
-                if cell_in_region(cell, other_region)
+                prover.window(catcher, t + one_day)
+                for catcher in catchers
+                if cell_in_region(cell, prover.regions(catcher))
             ]
             if not interval_covered(leaving, covering):
                 return GrowingCheckViolation(action.name, t, cell, leaving)

@@ -15,12 +15,10 @@ decision procedure in :mod:`repro.checks.prover`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..core.dimension import Dimension
 from ..spec.action import Action
-from ..spec.ranges import profiles_of
-from .prover import ProverConfig, actions_overlap
+from .prover import Prover
 
 
 @dataclass(frozen=True)
@@ -37,17 +35,12 @@ class CrossingViolation:
         )
 
 
-def noncrossing_pair(
-    a1: Action,
-    a2: Action,
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
-) -> bool:
+def noncrossing_pair(a1: Action, a2: Action, prover: Prover) -> bool:
     """The paper's ``noncrossing(a1, a2)`` function.
 
     1. ordered either way -> ``True``;
-    2. otherwise, if an evaluation time exists at which both predicates
-       can select a common cell -> ``False``;
+    2. otherwise, if an evaluation time exists at which any conjunct
+       pair of the two predicates can select a common cell -> ``False``;
     3. otherwise ``True``.
 
     (The paper's separate time-independent case is the same satisfiability
@@ -55,34 +48,25 @@ def noncrossing_pair(
     """
     if a1.le(a2) or a2.le(a1):
         return True
-    return not actions_overlap(
-        profiles_of(a1), profiles_of(a2), dimensions, config
+    return not any(
+        prover.overlaps(p1, p2)
+        for p1 in prover.profiles(a1)
+        for p2 in prover.profiles(a2)
     )
 
 
 def check_noncrossing(
-    actions: Sequence[Action],
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
+    actions: Sequence[Action], prover: Prover
 ) -> list[CrossingViolation]:
     """All crossing pairs in *actions* (``|A|^2`` pair checks, Sec. 5.2)."""
-    violations: list[CrossingViolation] = []
-    profile_cache = {action.name: profiles_of(action) for action in actions}
-    for i, a1 in enumerate(actions):
-        for a2 in actions[i + 1 :]:
-            if a1.le(a2) or a2.le(a1):
-                continue
-            if actions_overlap(
-                profile_cache[a1.name], profile_cache[a2.name], dimensions, config
-            ):
-                violations.append(CrossingViolation(a1.name, a2.name))
-    return violations
+    return [
+        CrossingViolation(a1.name, a2.name)
+        for i, a1 in enumerate(actions)
+        for a2 in actions[i + 1 :]
+        if not noncrossing_pair(a1, a2, prover)
+    ]
 
 
-def is_noncrossing(
-    actions: Sequence[Action],
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
-) -> bool:
+def is_noncrossing(actions: Sequence[Action], prover: Prover) -> bool:
     """``NonCrossing(V)`` (Equation 14) for the action set."""
-    return not check_noncrossing(actions, dimensions, config)
+    return not check_noncrossing(actions, prover)

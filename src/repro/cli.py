@@ -593,6 +593,7 @@ def _check(
     ignore: list[str] | None = None,
     output: str | None = None,
 ) -> int:
+    from .checks.prover import Prover
     from .io import mo_from_dict
     from .lint import (
         LintResult,
@@ -619,7 +620,7 @@ def _check(
     for path in spec_files:
         with open(path, encoding="utf-8") as stream:
             sources.append((path, stream.read()))
-    found, ctx = lint_sources(sources, mo.schema, mo.dimensions)
+    found, ctx = lint_sources(sources, mo.schema, Prover(mo.dimensions))
     result = LintResult.of([*found, *measure_diagnostics])
     result = result.filter(select, ignore)
     analysis = ctx.analysis()

@@ -16,19 +16,6 @@ from typing import Iterable, Iterator, Mapping
 from ..errors import FactError
 
 
-@dataclass(frozen=True)
-class FactCoordinates:
-    """The direct dimension values of a fact, ordered like the schema."""
-
-    values: tuple[str, ...]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.values)
-
-    def __getitem__(self, index: int) -> str:
-        return self.values[index]
-
-
 class FactDimensionRelation:
     """One relation ``R_i = {(f, v)}`` between facts and one dimension.
 

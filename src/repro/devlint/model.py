@@ -83,11 +83,6 @@ class PyModule:
     def suppressed(self, line: int, code: str) -> bool:
         return code in self.suppressions.get(line, set())
 
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
-
 
 def parse_suppressions(lines: Iterable[str]) -> dict[int, set[str]]:
     out: dict[int, set[str]] = {}

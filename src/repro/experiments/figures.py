@@ -87,10 +87,11 @@ def figure_2() -> dict[str, object]:
     everything at least as aggregated as 2000/10 did.
     """
     from ..checks.growing import check_growing
+    from ..checks.prover import Prover
 
     mo = build_paper_mo()
     a1, a2 = action_a1(mo), action_a2(mo)
-    violations = check_growing([a1], mo.dimensions)
+    violations = check_growing([a1], Prover(mo.dimensions))
     valid = ReductionSpecification((a1, a2), mo.dimensions)
     at_oct = reduce_mo(mo, valid, _dt.date(2000, 10, 15))
     at_nov = reduce_mo(at_oct, valid, _dt.date(2000, 11, 15))

@@ -9,10 +9,13 @@ via the spans the parser attaches to every AST node.  The bound actions
 then run the semantic checkers of :mod:`repro.lint.rules` (``SDR1xx``
 and ``SDR2xx``).
 
-The :class:`LintContext` it returns memoises the relationship matrix,
-the reachability pass and the single-container shadow map, so the rules
-that read them and the :meth:`LintContext.analysis` report that renders
-them share one computation of each.
+The :class:`LintContext` it returns holds the one
+:class:`~repro.checks.prover.Prover` of the run, which every rule, the
+soundness checks and the analyses ask their satisfiability, overlap and
+containment questions, and memoises the relationship matrix, the
+reachability pass and the single-container shadow map, so the rules that
+read them and the :meth:`LintContext.analysis` report that renders them
+share one computation of each.
 
 Because the ``SDR102``/``SDR103`` checkers call the very same
 :func:`repro.checks.noncrossing.check_noncrossing` and
@@ -23,23 +26,21 @@ conditions cannot diverge from the enforcement path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..analysis.boxes import profile_contained
 from ..analysis.cost import estimate_costs
 from ..analysis.matrix import RelationshipMatrix, relationship_matrix
-from ..analysis.reach import ReachabilityResult, reachability
+from ..analysis.reach import ReachabilityResult, coarser_actions, reachability
 from ..analysis.report import SpecAnalysis
-from ..checks.prover import ProverConfig, profiles_overlap
-from ..core.dimension import Dimension
+from ..checks.prover import Prover
 from ..core.schema import FactSchema
 from ..errors import ReproError, SpecSyntaxError
 from ..spec.action import Action, bind_atom
 from ..spec.ast import ActionSyntax, SourceSpan, union_spans
 from ..spec.parser import parse_action
-from ..spec.ranges import ConjunctProfile, profiles_of
+from ..spec.ranges import ConjunctProfile
 from .diagnostics import Diagnostic, LintResult, Region, Severity
 from .rules import CHECKERS, RULES
 
@@ -73,8 +74,7 @@ class LintContext:
 
     schema: FactSchema
     entries: list[SpecEntry]
-    dimensions: Mapping[str, Dimension] | None = None
-    prover: ProverConfig = field(default_factory=ProverConfig)
+    prover: Prover
 
     @property
     def bound(self) -> list[SpecEntry]:
@@ -91,11 +91,11 @@ class LintContext:
 
     @cached_property
     def matrix(self) -> RelationshipMatrix:
-        return relationship_matrix(self.actions, self.dimensions, self.prover)
+        return relationship_matrix(self.actions, self.prover)
 
     @cached_property
     def reach(self) -> ReachabilityResult:
-        return reachability(self.actions, self.dimensions, self.prover)
+        return reachability(self.actions, self.prover)
 
     @cached_property
     def shadowed(self) -> dict[str, str]:
@@ -110,9 +110,9 @@ class LintContext:
             actions=tuple(a.name for a in self.actions),
             matrix=self.matrix,
             reach=self.reach,
-            costs=estimate_costs(self.actions, self.dimensions, self.prover),
-            reference=self.prover.reference,
-            horizon_years=self.prover.horizon_years,
+            costs=estimate_costs(self.actions, self.prover),
+            reference=self.prover.config.reference,
+            horizon_years=self.prover.config.horizon_years,
         )
 
     def entry_for(self, name: str | None) -> SpecEntry | None:
@@ -166,37 +166,18 @@ def _single_container_shadowed(ctx: LintContext) -> dict[str, str]:
     ``LintContext.shadowed``) so the analyzer rules can defer to the
     simpler finding when it applies.
 
-    Containment proofs live in :mod:`repro.analysis.boxes`; lint and the
-    semantic analyzer share one implementation.
+    Containment proofs come from the run's prover, which lint and the
+    semantic analyzer share.
     """
+    prover = ctx.prover
     out: dict[str, str] = {}
-    bound = ctx.bound
-    for i, entry in enumerate(bound):
-        action = entry.action
-        assert action is not None
-        for j, other_entry in enumerate(bound):
-            if i == j:
-                continue
-            other = other_entry.action
-            assert other is not None
-            if not action.le(other):
-                continue
-            if action.cat() == other.cat() and j > i:
-                # For duplicates at the same granularity, only flag the
-                # later action as the shadowed one.
-                continue
-            live = [
-                p
-                for p in entry.profiles
-                if profiles_overlap(p, p, ctx.dimensions, ctx.prover)
-            ]
-            if not live:
-                continue  # unsatisfiable actions are SDR104's business
+    for i, action in enumerate(ctx.actions):
+        live = prover.live(action)
+        if not live:
+            continue  # unsatisfiable actions are SDR104's business
+        for other in coarser_actions(ctx.actions, i):
             if all(
-                any(
-                    profile_contained(p, q, ctx.dimensions, ctx.prover)
-                    for q in other_entry.profiles
-                )
+                any(prover.contained(p, q) for q in prover.profiles(other))
                 for p in live
             ):
                 out[action.name] = other.name
@@ -363,7 +344,7 @@ def _resolve_and_bind(
             )
             action.source = entry.source
             action.syntax = syntax
-            entry.profiles = tuple(profiles_of(action))
+            entry.profiles = ctx.prover.profiles(action)
             entry.action = action
         except ReproError as error:
             entry.action = None
@@ -418,15 +399,15 @@ def _check_duplicate_names(
 def lint_sources(
     sources: Sequence[tuple[str | None, str]],
     schema: FactSchema,
-    dimensions: Mapping[str, Dimension] | None = None,
-    config: ProverConfig | None = None,
+    prover: Prover,
 ) -> tuple[LintResult, LintContext]:
     """Parse, bind and lint specification source text, once.
 
     *sources* is a sequence of ``(filename, text)`` pairs; filenames may
-    be ``None`` for in-memory input.  Returns the findings and the bound
-    context (``ctx.bound`` holds the usable actions, ``ctx.analysis()``
-    the semantic analysis report).
+    be ``None`` for in-memory input.  *prover* grounds the predicates
+    against its dimension instances and answers every rule.  Returns the
+    findings and the bound context (``ctx.bound`` holds the usable
+    actions, ``ctx.analysis()`` the semantic analysis report).
     """
     entries: list[SpecEntry] = []
     diagnostics: list[Diagnostic] = []
@@ -436,7 +417,7 @@ def lint_sources(
             entry.index = len(entries)
             entries.append(entry)
         diagnostics.extend(file_diags)
-    ctx = LintContext(schema, entries, dimensions, config or ProverConfig())
+    ctx = LintContext(schema, entries, prover)
     _resolve_and_bind(ctx, diagnostics)
     _check_duplicate_names(ctx, diagnostics)
     for _, check in CHECKERS:

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from ..analysis.boxes import profile_contained
 from ..analysis.matrix import Verdict
+from ..analysis.reach import coarser_actions
 from ..checks.growing import check_growing
 from ..checks.noncrossing import check_noncrossing
-from ..checks.prover import profiles_overlap
 from ..core.hierarchy import is_top
 from ..core.measures import resolve_aggregate
 from ..errors import MeasureError, ReproError
@@ -292,7 +291,7 @@ def check_unevaluable_target(ctx: "LintContext") -> Iterator[Diagnostic]:
 @checker("SDR102")
 def check_rule_noncrossing(ctx: "LintContext") -> Iterator[Diagnostic]:
     actions = [entry.action for entry in ctx.bound]
-    for violation in check_noncrossing(actions, ctx.dimensions, ctx.prover):
+    for violation in check_noncrossing(actions, ctx.prover):
         entry = ctx.entry_for(violation.second) or ctx.entry_for(
             violation.first
         )
@@ -302,7 +301,7 @@ def check_rule_noncrossing(ctx: "LintContext") -> Iterator[Diagnostic]:
 @checker("SDR103")
 def check_rule_growing(ctx: "LintContext") -> Iterator[Diagnostic]:
     actions = [entry.action for entry in ctx.bound]
-    for violation in check_growing(actions, ctx.dimensions, ctx.prover):
+    for violation in check_growing(actions, ctx.prover):
         yield ctx.diagnostic(
             "SDR103", str(violation), entry=ctx.entry_for(violation.action)
         )
@@ -326,11 +325,8 @@ def check_unsatisfiable(ctx: "LintContext") -> Iterator[Diagnostic]:
                 entry=entry,
             )
             continue
-        satisfiable = [
-            profiles_overlap(p, p, ctx.dimensions, ctx.prover)
-            for p in profiles
-        ]
-        if not any(satisfiable):
+        live = ctx.prover.live(action)
+        if not live:
             yield ctx.diagnostic(
                 "SDR104",
                 f"the predicate of action {action.name!r} is unsatisfiable "
@@ -338,8 +334,8 @@ def check_unsatisfiable(ctx: "LintContext") -> Iterator[Diagnostic]:
                 entry=entry,
             )
             continue
-        for atoms, ok in zip(action.conjuncts(), satisfiable):
-            if ok:
+        for atoms, profile in zip(action.conjuncts(), profiles):
+            if profile in live:
                 continue
             span = union_spans([a.span for a in atoms])
             rendered = " AND ".join(str(a) for a in atoms)
@@ -520,6 +516,7 @@ def check_shadowed_disjunct(ctx: "LintContext") -> Iterator[Diagnostic]:
     bound = ctx.bound
     if len(bound) < 2:
         return
+    prover = ctx.prover
     for i, entry in enumerate(bound):
         action = entry.action
         assert action is not None
@@ -528,27 +525,21 @@ def check_shadowed_disjunct(ctx: "LintContext") -> Iterator[Diagnostic]:
         conjuncts = action.conjuncts()
         if len(conjuncts) < 2:
             continue  # a single disjunct would shadow the whole action
+        live = prover.live(action)
         for atoms, profile in zip(conjuncts, entry.profiles):
-            if not profiles_overlap(
-                profile, profile, ctx.dimensions, ctx.prover
-            ):
+            if profile not in live:
                 continue  # unsatisfiable disjuncts are SDR105's business
-            container = None
-            for j, other_entry in enumerate(bound):
-                if i == j:
-                    continue
-                other = other_entry.action
-                assert other is not None
-                if not action.le(other):
-                    continue
-                if action.cat() == other.cat() and j > i:
-                    continue
-                if any(
-                    profile_contained(profile, q, ctx.dimensions, ctx.prover)
-                    for q in other_entry.profiles
-                ):
-                    container = other.name
-                    break
+            container = next(
+                (
+                    other.name
+                    for other in coarser_actions(ctx.actions, i)
+                    if any(
+                        prover.contained(profile, q)
+                        for q in prover.profiles(other)
+                    )
+                ),
+                None,
+            )
             if container is not None:
                 rendered = " AND ".join(str(a) for a in atoms)
                 yield ctx.diagnostic(
@@ -608,13 +599,14 @@ def _vacuous_categorical(
     name = atom.ref.dimension
     if is_time_dimension_type(action.schema.dimension_type(name)):
         return None
-    if ctx.dimensions is None or name not in ctx.dimensions:
+    dimensions = ctx.prover.dimensions
+    if dimensions is None or name not in dimensions:
         return None
     category = atom.ref.category
     if is_top(category):
         return None
     try:
-        domain = ctx.dimensions[name].values(category)
+        domain = dimensions[name].values(category)
     except ReproError:
         return None
     values = {term for term in atom.terms if isinstance(term, str)}
@@ -707,12 +699,8 @@ def check_always_true_residual(ctx: "LintContext") -> Iterator[Diagnostic]:
     bound = ctx.bound
     if len(bound) < 2:
         return  # with one action, SDR104 already tells the whole story
-    for entry in bound:
-        if any(
-            profiles_overlap(p, p, ctx.dimensions, ctx.prover)
-            for p in entry.profiles
-        ):
-            return
+    if any(ctx.prover.live(entry.action) for entry in bound):
+        return
     names = ", ".join(
         repr(entry.action.name) for entry in bound if entry.action
     )

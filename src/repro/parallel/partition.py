@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..analysis.cost import estimate_costs
+from ..checks.prover import Prover
 from ..core.mo import MultidimensionalObject
 from ..spec.action import Action
 from .footprint import SignatureRouter
@@ -79,7 +80,7 @@ def action_weights(
     if not actions or dimensions is None:
         return weights
     try:
-        costs = estimate_costs(actions, dimensions)
+        costs = estimate_costs(actions, Prover(dimensions))
     except Exception:
         return weights
     for index, cost in enumerate(costs):

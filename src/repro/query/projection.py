@@ -7,7 +7,7 @@ star-schema projection, as the paper notes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.mo import MultidimensionalObject
 from ..core.schema import FactSchema
@@ -58,11 +58,3 @@ def project(
             fact_id, coordinates, values, mo.provenance(fact_id)
         )
     return projected
-
-
-def retained_names(
-    all_names: Iterable[str], requested: Sequence[str]
-) -> list[str]:
-    """Names from *requested*, in schema order, validated elsewhere."""
-    request = set(requested)
-    return [name for name in all_names if name in request]

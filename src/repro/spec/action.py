@@ -302,14 +302,4 @@ def resolve_terms(
     return tuple(out)
 
 
-def actions_by_name(actions: Iterable[Action]) -> dict[str, Action]:
-    """Index actions by name, rejecting duplicates."""
-    mapping: dict[str, Action] = {}
-    for action in actions:
-        if action.name in mapping:
-            raise SpecSemanticsError(f"duplicate action name {action.name!r}")
-        mapping[action.name] = action
-    return mapping
-
-
 GranularityKey = Callable[[Action], tuple[str, ...]]

@@ -127,9 +127,6 @@ class Atom(Predicate):
     def term(self) -> TimeTerm | str:
         return self.terms[0]
 
-    def is_time_atom(self) -> bool:
-        return any(isinstance(t, TimeTerm) for t in self.terms)
-
     def is_now_relative(self) -> bool:
         return any(
             isinstance(t, TimeTerm) and t.is_now_relative for t in self.terms

@@ -126,9 +126,13 @@ class CategoricalConstraint:
         return self.allowed - self.excluded
 
 
-@dataclass
+@dataclass(eq=False)
 class ConjunctProfile:
-    """The compiled range profile of one conjunctive predicate."""
+    """The compiled range profile of one conjunctive predicate.
+
+    Profiles compare and hash by identity, so analyses can memoise by
+    profile.
+    """
 
     action: Action
     window: DayWindow = field(default_factory=DayWindow)

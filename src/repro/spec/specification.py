@@ -99,15 +99,14 @@ class ReductionSpecification:
         """All NonCrossing and Growing violations of the current set."""
         from ..checks.growing import check_growing
         from ..checks.noncrossing import check_noncrossing
+        from ..checks.prover import Prover
 
-        out: list[object] = []
-        out.extend(
-            check_noncrossing(list(self._actions), self._dimensions, self._config)
-        )
-        out.extend(
-            check_growing(list(self._actions), self._dimensions, self._config)
-        )
-        return out
+        prover = Prover(self._dimensions, self._config)
+        actions = list(self._actions)
+        return [
+            *check_noncrossing(actions, prover),
+            *check_growing(actions, prover),
+        ]
 
     def is_sound(self) -> bool:
         return not self.violations()

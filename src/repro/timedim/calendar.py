@@ -226,11 +226,6 @@ def _days_in_month(year: int, month: int) -> int:
     return (_dt.date(year, month + 1, 1) - _dt.timedelta(days=1)).day
 
 
-def days_between(start: _dt.date, end: _dt.date) -> int:
-    """Signed day count from *start* to *end*."""
-    return (end - start).days
-
-
 def iter_days(start: _dt.date, end: _dt.date):
     """Yield every date in ``[start, end]`` inclusive."""
     current = start

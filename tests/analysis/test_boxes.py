@@ -1,15 +1,10 @@
-"""Unit tests for the box domain: exactness, regions, containment."""
+"""Unit tests for the box domain: exactness, regions, containment.
+
+A box is a DNF disjunct's profile read through the analysis' prover."""
 
 import datetime as dt
 
-from repro.analysis import (
-    box_is_exact,
-    boxes_of,
-    profile_contained,
-    region_contained,
-    window_modelled_exactly,
-)
-from repro.checks.prover import ProverConfig
+from repro.checks.prover import Prover, ProverConfig, window_modelled_exactly
 from repro.spec.action import Action
 from repro.spec.ranges import profiles_of
 
@@ -37,23 +32,27 @@ class TestBoxes:
             "Time.month, URL.domain",
             "URL.domain = 'cnn.com' OR URL.domain = 'gatech.edu'",
         )
-        boxes = boxes_of(action, paper_mo.dimensions)
+        prover = Prover(paper_mo.dimensions)
+        boxes = prover.profiles(action)
         assert len(boxes) == 2
         assert all(box.action is action for box in boxes)
+        assert prover.profiles(action) is boxes
 
     def test_region_grounds_to_bottom_values(self, paper_mo):
         action = act(
             paper_mo, "x", "Time.month, URL.domain", "URL.domain_grp = '.com'"
         )
-        box = boxes_of(action, paper_mo.dimensions)[0]
-        assert box.regions == {"URL": COM_URLS}
+        prover = Prover(paper_mo.dimensions)
+        box = prover.profiles(action)[0]
+        assert prover.regions(box) == {"URL": COM_URLS}
 
     def test_unconstrained_dimension_is_none(self, paper_mo):
         action = act(
             paper_mo, "x", "Time.month, URL.domain", "Time.month <= '1999/12'"
         )
-        box = boxes_of(action, paper_mo.dimensions)[0]
-        assert box.regions == {"URL": None}
+        prover = Prover(paper_mo.dimensions)
+        box = prover.profiles(action)[0]
+        assert prover.regions(box) == {"URL": None}
 
     def test_exact_box(self, paper_mo):
         action = act(
@@ -62,17 +61,19 @@ class TestBoxes:
             "Time.month, URL.domain",
             "URL.domain_grp = '.com' AND Time.month <= NOW - 6 months",
         )
-        box = boxes_of(action, paper_mo.dimensions)[0]
-        assert box_is_exact(box)
-        assert window_modelled_exactly(box.profile)
+        prover = Prover(paper_mo.dimensions)
+        box = prover.profiles(action)[0]
+        assert prover.exact(box)
+        assert window_modelled_exactly(box)
 
     def test_symbolic_region_is_not_exact(self, paper_mo):
         action = act(
             paper_mo, "x", "Time.month, URL.domain", "URL.domain_grp = '.com'"
         )
         # Without dimension instances the region cannot be grounded.
-        box = boxes_of(action, None)[0]
-        assert not box_is_exact(box)
+        prover = Prover()
+        box = prover.profiles(action)[0]
+        assert not prover.exact(box)
 
 
 class TestContainment:
@@ -83,13 +84,14 @@ class TestContainment:
     def test_region_containment(self, paper_mo):
         inner = self.profile(paper_mo, "URL.domain = 'cnn.com'")
         outer = self.profile(paper_mo, "URL.domain_grp = '.com'")
-        assert region_contained(inner, outer, paper_mo.dimensions)
-        assert not region_contained(outer, inner, paper_mo.dimensions)
+        prover = Prover(paper_mo.dimensions)
+        assert prover.region_contained(inner, outer)
+        assert not prover.region_contained(outer, inner)
 
     def test_unconstrained_outer_contains_anything(self, paper_mo):
         inner = self.profile(paper_mo, "URL.domain = 'cnn.com'")
         outer = self.profile(paper_mo, "Time.month <= '1999/12'")
-        assert region_contained(inner, outer, paper_mo.dimensions)
+        assert Prover(paper_mo.dimensions).region_contained(inner, outer)
 
     def test_profile_containment_needs_window_too(self, paper_mo):
         inner = self.profile(
@@ -102,11 +104,12 @@ class TestContainment:
         )
         # The inner window (older than 12 months) sits inside the outer
         # (older than 6 months) at every evaluation time.
-        assert profile_contained(inner, outer, paper_mo.dimensions, PROVER)
-        assert not profile_contained(outer, inner, paper_mo.dimensions, PROVER)
+        prover = Prover(paper_mo.dimensions, PROVER)
+        assert prover.contained(inner, outer)
+        assert not prover.contained(outer, inner)
 
     def test_symbolic_outer_refused(self, paper_mo):
         inner = self.profile(paper_mo, "URL.domain = 'cnn.com'")
         outer = self.profile(paper_mo, "URL.domain_grp = '.com'")
         # Ungrounded outer regions must refuse, not guess.
-        assert not profile_contained(inner, outer, None, PROVER)
+        assert not Prover(None, PROVER).contained(inner, outer)

@@ -3,7 +3,7 @@
 import datetime as dt
 
 from repro.analysis import estimate_costs
-from repro.checks.prover import ProverConfig
+from repro.checks.prover import Prover, ProverConfig
 from repro.spec.action import Action
 
 PROVER = ProverConfig(reference=dt.date(2001, 1, 1), horizon_years=2)
@@ -22,7 +22,7 @@ def costs_for(mo, *specs):
         act(mo, name, granularity, predicate)
         for name, granularity, predicate in specs
     ]
-    return estimate_costs(actions, mo.dimensions, PROVER)
+    return estimate_costs(actions, Prover(mo.dimensions, PROVER))
 
 
 class TestEstimates:
@@ -72,7 +72,7 @@ class TestEstimates:
         action = act(
             paper_mo, "x", "Time.month, URL.domain", "URL.domain_grp = '.com'"
         )
-        (cost,) = estimate_costs([action], None, PROVER)
+        (cost,) = estimate_costs([action], Prover(None, PROVER))
         assert cost.admitted_cells is None
         assert cost.selectivity is None
         assert cost.to_dict()["admitted_cells"] is None

@@ -3,10 +3,16 @@
 import datetime as dt
 
 from repro.analysis import Verdict, relationship_matrix
-from repro.checks.prover import ProverConfig
+from repro.checks.prover import Prover, ProverConfig
 from repro.spec.action import Action
 
 PROVER = ProverConfig(reference=dt.date(2001, 1, 1), horizon_years=2)
+
+COM_URLS = {
+    "http://www.cnn.com/",
+    "http://www.cnn.com/health",
+    "http://www.amazon.com/exec/obidos/tg/browse/",
+}
 
 
 def act(mo, name, granularity, predicate):
@@ -19,7 +25,7 @@ def matrix_for(mo, *specs):
         act(mo, name, granularity, predicate)
         for name, granularity, predicate in specs
     ]
-    return relationship_matrix(actions, mo.dimensions, PROVER)
+    return relationship_matrix(actions, Prover(mo.dimensions, PROVER))
 
 
 class TestVerdicts:
@@ -69,10 +75,34 @@ class TestVerdicts:
         assert cell["URL"].endswith("cnn.com/") or "cnn.com" in cell["URL"]
 
     def test_unknown_carries_candidate_witness(self, paper_mo, a1, a2):
-        matrix = relationship_matrix([a1, a2], paper_mo.dimensions, PROVER)
+        matrix = relationship_matrix([a1, a2], Prover(paper_mo.dimensions, PROVER))
         relation = matrix.get("a1", "a2")
         assert relation.verdict is Verdict.UNKNOWN
         assert "candidate" in relation.reason
+
+    def test_unknown_witness_comes_from_an_overlapping_pair(self, paper_mo):
+        # The '!=' time atoms make both boxes inexact, so the verdict is
+        # UNKNOWN; the '.edu' disjunct of 'a' is disjoint from 'b' and
+        # may not lend the candidate its (empty) cell.
+        bound = "Time.month != '1999/05' AND Time.month <= NOW - 3 months"
+        matrix = matrix_for(
+            paper_mo,
+            (
+                "a",
+                "Time.month, URL.domain_grp",
+                f"(URL.domain_grp = '.edu' AND {bound}) OR "
+                f"(URL.domain_grp = '.com' AND {bound})",
+            ),
+            (
+                "b",
+                "Time.month, URL.domain_grp",
+                "URL.domain_grp = '.com' AND Time.month != '1999/07' AND "
+                "Time.month <= NOW - 5 months",
+            ),
+        )
+        relation = matrix.get("a", "b")
+        assert relation.verdict is Verdict.UNKNOWN
+        assert dict(relation.witness.cell)["URL"] in COM_URLS
 
     def test_unsatisfiable_action_is_disjoint_from_all(self, paper_mo):
         matrix = matrix_for(

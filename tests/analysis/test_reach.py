@@ -3,7 +3,7 @@
 import datetime as dt
 
 from repro.analysis import reachability
-from repro.checks.prover import ProverConfig
+from repro.checks.prover import Prover, ProverConfig
 from repro.spec.action import Action
 
 PROVER = ProverConfig(reference=dt.date(2001, 1, 1), horizon_years=2)
@@ -19,7 +19,7 @@ def reach_for(mo, *specs):
         act(mo, name, granularity, predicate)
         for name, granularity, predicate in specs
     ]
-    return reachability(actions, mo.dimensions, PROVER)
+    return reachability(actions, Prover(mo.dimensions, PROVER))
 
 
 class TestUnsatisfiable:

@@ -5,7 +5,7 @@ import datetime as dt
 import json
 
 from repro.analysis import ANALYSIS_SCHEMA
-from repro.checks.prover import ProverConfig
+from repro.checks.prover import Prover, ProverConfig
 from repro.lint import lint_sources
 
 PROVER = ProverConfig(reference=dt.date(2001, 1, 1), horizon_years=2)
@@ -13,7 +13,9 @@ PROVER = ProverConfig(reference=dt.date(2001, 1, 1), horizon_years=2)
 
 def analyze(mo, lines, config=None):
     text = "".join(f"{line}\n" for line in lines)
-    _, ctx = lint_sources([(None, text)], mo.schema, mo.dimensions, config)
+    _, ctx = lint_sources(
+        [(None, text)], mo.schema, Prover(mo.dimensions, config)
+    )
     return ctx.analysis()
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.checks.growing import check_growing, is_growing
-from repro.checks.prover import ProverConfig
+from repro.checks.prover import Prover, ProverConfig
 from repro.experiments.paper_example import (
     action_a1,
     action_a2,
@@ -20,15 +20,15 @@ def mo():
 
 class TestPaperFigure2:
     def test_a1_alone_violates(self, mo):
-        violations = check_growing([action_a1(mo)], mo.dimensions)
+        violations = check_growing([action_a1(mo)], Prover(mo.dimensions))
         assert violations
         assert violations[0].action == "a1"
 
     def test_a1_with_a2_is_growing(self, mo):
-        assert is_growing([action_a1(mo), action_a2(mo)], mo.dimensions)
+        assert is_growing([action_a1(mo), action_a2(mo)], Prover(mo.dimensions))
 
     def test_violation_message_names_leaving_days(self, mo):
-        (violation,) = check_growing([action_a1(mo)], mo.dimensions)[:1]
+        (violation,) = check_growing([action_a1(mo)], Prover(mo.dimensions))[:1]
         assert "stops selecting days" in str(violation)
 
 
@@ -39,11 +39,11 @@ class TestSection53Example:
 
     def test_full_rule_set_is_growing(self, mo):
         g1, g2, g3 = growing_example_actions(mo)
-        assert is_growing([g1, g2, g3], mo.dimensions)
+        assert is_growing([g1, g2, g3], Prover(mo.dimensions))
 
     def test_dropping_edu_catcher_breaks_it(self, mo):
         g1, g2, g3 = growing_example_actions(mo)
-        violations = check_growing([g1, g2], mo.dimensions)
+        violations = check_growing([g1, g2], Prover(mo.dimensions))
         assert violations
         assert violations[0].action == "g1"
         # The witness cell is a .edu URL, exactly the uncovered region.
@@ -51,21 +51,21 @@ class TestSection53Example:
 
     def test_dropping_com_catcher_breaks_it(self, mo):
         g1, g2, g3 = growing_example_actions(mo)
-        violations = check_growing([g1, g3], mo.dimensions)
+        violations = check_growing([g1, g3], Prover(mo.dimensions))
         assert violations
         assert violations[0].cell["URL"] != "http://www.cc.gatech.edu/"
 
 
 class TestGeneralBehaviour:
     def test_growing_actions_always_pass(self, mo):
-        assert is_growing([action_a2(mo)], mo.dimensions)
+        assert is_growing([action_a2(mo)], Prover(mo.dimensions))
         fixed = Action.parse(
             mo.schema, "a[Time.month, URL.domain] o[Time.month <= '1999/12']"
         )
-        assert is_growing([fixed], mo.dimensions)
+        assert is_growing([fixed], Prover(mo.dimensions))
 
     def test_empty_specification_growing(self, mo):
-        assert is_growing([], mo.dimensions)
+        assert is_growing([], Prover(mo.dimensions))
 
     def test_catcher_must_be_ge_in_every_dimension(self, mo):
         shrinking = Action.parse(
@@ -80,7 +80,7 @@ class TestGeneralBehaviour:
             "a[Time.quarter, URL.url] o[Time.quarter <= NOW - 4 quarters]",
             "weak",
         )
-        assert not is_growing([shrinking, weak_catcher], mo.dimensions)
+        assert not is_growing([shrinking, weak_catcher], Prover(mo.dimensions))
 
     def test_catcher_window_must_reach_the_edge(self, mo):
         shrinking = Action.parse(
@@ -96,7 +96,7 @@ class TestGeneralBehaviour:
             "a[Time.quarter, URL.domain] o[Time.year <= NOW - 3 years]",
             "late",
         )
-        assert not is_growing([shrinking, late_catcher], mo.dimensions)
+        assert not is_growing([shrinking, late_catcher], Prover(mo.dimensions))
 
     def test_own_disjunct_can_catch(self, mo):
         # One action whose second disjunct catches its first.
@@ -106,11 +106,11 @@ class TestGeneralBehaviour:
             "Time.month <= NOW - 6 months) OR Time.month <= NOW - 12 months]",
             "self_catching",
         )
-        assert is_growing([action], mo.dimensions)
+        assert is_growing([action], Prover(mo.dimensions))
 
     def test_config_horizon_respected(self, mo):
         config = ProverConfig(horizon_years=2)
-        violations = check_growing([action_a1(mo)], mo.dimensions, config)
+        violations = check_growing([action_a1(mo)], Prover(mo.dimensions, config))
         assert violations
 
 

@@ -7,6 +7,7 @@ from repro.checks.noncrossing import (
     is_noncrossing,
     noncrossing_pair,
 )
+from repro.checks.prover import Prover
 from repro.experiments.paper_example import (
     action_a1,
     action_a2,
@@ -24,26 +25,26 @@ def mo():
 
 class TestPaperExamples:
     def test_a1_a2_noncrossing_because_ordered(self, mo):
-        assert noncrossing_pair(action_a1(mo), action_a2(mo), mo.dimensions)
+        assert noncrossing_pair(action_a1(mo), action_a2(mo), Prover(mo.dimensions))
 
     def test_a2_a3_crossing(self, mo):
         """The paper's first NonCrossing violation: fact_1 satisfies both
         predicates but the granularities are incomparable."""
-        assert not noncrossing_pair(action_a2(mo), action_a3(mo), mo.dimensions)
+        assert not noncrossing_pair(action_a2(mo), action_a3(mo), Prover(mo.dimensions))
 
     def test_a2_a4_crossing_parallel_branch(self, mo):
         """The paper's second example: a4 aggregates into the week branch."""
-        assert not noncrossing_pair(action_a2(mo), action_a4(mo), mo.dimensions)
+        assert not noncrossing_pair(action_a2(mo), action_a4(mo), Prover(mo.dimensions))
 
     def test_full_set_check(self, mo):
         violations = check_noncrossing(
-            [action_a1(mo), action_a2(mo), action_a3(mo)], mo.dimensions
+            [action_a1(mo), action_a2(mo), action_a3(mo)], Prover(mo.dimensions)
         )
         assert {(v.first, v.second) for v in violations} == {("a2", "a3")}
 
     def test_is_noncrossing(self, mo):
-        assert is_noncrossing([action_a1(mo), action_a2(mo)], mo.dimensions)
-        assert not is_noncrossing([action_a2(mo), action_a4(mo)], mo.dimensions)
+        assert is_noncrossing([action_a1(mo), action_a2(mo)], Prover(mo.dimensions))
+        assert not is_noncrossing([action_a2(mo), action_a4(mo)], Prover(mo.dimensions))
 
 
 class TestDisjointPredicates:
@@ -60,7 +61,7 @@ class TestDisjointPredicates:
         )
         # Incomparable granularities (week vs month) but disjoint regions.
         assert not com.comparable(edu)
-        assert noncrossing_pair(com, edu, mo.dimensions)
+        assert noncrossing_pair(com, edu, Prover(mo.dimensions))
 
     def test_disjoint_time_windows_never_cross(self, mo):
         early = Action.parse(
@@ -73,7 +74,7 @@ class TestDisjointPredicates:
             "a[Time.week, URL.domain] o[Time.week >= '2000W01']",
             "late",
         )
-        assert noncrossing_pair(early, late, mo.dimensions)
+        assert noncrossing_pair(early, late, Prover(mo.dimensions))
 
     def test_time_fixed_overlap_crosses(self, mo):
         first = Action.parse(
@@ -86,7 +87,7 @@ class TestDisjointPredicates:
             "a[Time.week, URL.domain] o[Time.week <= '2000W01']",
             "second",
         )
-        assert not noncrossing_pair(first, second, mo.dimensions)
+        assert not noncrossing_pair(first, second, Prover(mo.dimensions))
 
     def test_now_relative_vs_fixed_eventual_overlap(self, mo):
         sliding = Action.parse(
@@ -100,7 +101,7 @@ class TestDisjointPredicates:
             "fixed_weeks",
         )
         # Eventually NOW - 6 months passes 2000W10, so they overlap.
-        assert not noncrossing_pair(sliding, fixed_weeks, mo.dimensions)
+        assert not noncrossing_pair(sliding, fixed_weeks, Prover(mo.dimensions))
 
     def test_same_granularity_never_crosses(self, mo):
         first = Action.parse(
@@ -111,7 +112,7 @@ class TestDisjointPredicates:
             "a[Time.month, URL.domain] o[URL.domain_grp = '.com']",
             "f2",
         )
-        assert noncrossing_pair(first, second, mo.dimensions)
+        assert noncrossing_pair(first, second, Prover(mo.dimensions))
 
     def test_without_dimensions_errs_toward_crossing(self, mo):
         com = Action.parse(
@@ -130,5 +131,5 @@ class TestDisjointPredicates:
         )
         # With dimension instances the url/domain regions are provably
         # disjoint; without them the checker must assume overlap.
-        assert noncrossing_pair(com, edu, mo.dimensions)
-        assert not noncrossing_pair(com, edu, None)
+        assert noncrossing_pair(com, edu, Prover(mo.dimensions))
+        assert not noncrossing_pair(com, edu, Prover())

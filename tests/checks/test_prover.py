@@ -5,13 +5,10 @@ import datetime as dt
 import pytest
 
 from repro.checks.prover import (
+    Prover,
     ProverConfig,
-    categorical_regions,
-    enumerate_region_product,
     interval_covered,
-    profiles_overlap,
     regions_overlap,
-    sample_times,
     time_independent,
 )
 from repro.experiments.paper_example import (
@@ -57,7 +54,7 @@ class TestIntervalCovered:
 class TestSampleTimes:
     def test_horizon_covers_absolute_bounds(self, mo):
         profile = profile_of(mo, "a[Time.month, URL.domain] o[Time.month = '1995/06']")
-        times = sample_times([profile], ProverConfig())
+        times = Prover().horizon([profile])
         assert min(times) <= dt.date(1995, 6, 1)
         assert max(times) >= dt.date(1995, 6, 30)
 
@@ -66,7 +63,7 @@ class TestSampleTimes:
             mo, "a[Time.month, URL.domain] o[Time.month <= NOW - 6 months]"
         )
         config = ProverConfig(reference=dt.date(2010, 1, 1))
-        times = sample_times([profile], config)
+        times = Prover(config=config).horizon([profile])
         assert times[0] <= dt.date(2010, 1, 1) <= times[-1]
 
     def test_time_independent(self, mo):
@@ -84,9 +81,8 @@ class TestRegions:
     def test_regions_overlap_with_common_values(self, mo):
         p1 = profiles_of(action_a1(mo))[0]
         p2 = profiles_of(action_a2(mo))[0]
-        r1 = categorical_regions(p1, mo.dimensions)
-        r2 = categorical_regions(p2, mo.dimensions)
-        assert regions_overlap(r1, r2)
+        prover = Prover(mo.dimensions)
+        assert regions_overlap(prover.regions(p1), prover.regions(p2))
 
     def test_disjoint_regions(self, mo):
         com = profile_of(
@@ -95,16 +91,14 @@ class TestRegions:
         edu = profile_of(
             mo, "a[Time.day, URL.url] o[URL.domain_grp = '.edu']", "e"
         )
-        r1 = categorical_regions(com, mo.dimensions)
-        r2 = categorical_regions(edu, mo.dimensions)
-        assert not regions_overlap(r1, r2)
+        prover = Prover(mo.dimensions)
+        assert not regions_overlap(prover.regions(com), prover.regions(edu))
 
     def test_enumerate_product(self, mo):
         com = profile_of(
             mo, "a[Time.day, URL.url] o[URL.domain_grp = '.com']", "c"
         )
-        regions = categorical_regions(com, mo.dimensions)
-        cells = enumerate_region_product(regions, mo.dimensions, cap=100)
+        cells = Prover(mo.dimensions).cells(com, cap=100)
         assert cells is not None
         assert len(cells) == 3  # the three .com urls
 
@@ -112,15 +106,14 @@ class TestRegions:
         com = profile_of(
             mo, "a[Time.day, URL.url] o[URL.domain_grp = '.com']", "c"
         )
-        regions = categorical_regions(com, mo.dimensions)
-        assert enumerate_region_product(regions, mo.dimensions, cap=2) is None
+        assert Prover(mo.dimensions).cells(com, cap=2) is None
 
 
 class TestOverlap:
     def test_paper_pair_overlaps(self, mo):
         p1 = profiles_of(action_a1(mo))[0]
         p2 = profiles_of(action_a2(mo))[0]
-        assert profiles_overlap(p1, p2, mo.dimensions)
+        assert Prover(mo.dimensions).overlaps(p1, p2)
 
     def test_categorically_disjoint_pair(self, mo):
         com = profile_of(
@@ -129,7 +122,7 @@ class TestOverlap:
         edu = profile_of(
             mo, "a[Time.day, URL.url] o[URL.domain_grp = '.edu']", "e"
         )
-        assert not profiles_overlap(com, edu, mo.dimensions)
+        assert not Prover(mo.dimensions).overlaps(com, edu)
 
     def test_time_disjoint_fixed_pair(self, mo):
         early = profile_of(
@@ -138,7 +131,7 @@ class TestOverlap:
         late = profile_of(
             mo, "a[Time.day, URL.url] o[Time.month >= '1999/06']", "late"
         )
-        assert not profiles_overlap(early, late, mo.dimensions)
+        assert not Prover(mo.dimensions).overlaps(early, late)
 
     def test_relative_windows_with_disjoint_offsets(self, mo):
         recent = profile_of(
@@ -151,4 +144,25 @@ class TestOverlap:
             "a[Time.day, URL.url] o[Time.year <= NOW - 3 years]",
             "ancient",
         )
-        assert not profiles_overlap(recent, ancient, mo.dimensions)
+        assert not Prover(mo.dimensions).overlaps(recent, ancient)
+
+    def test_witness_exists_exactly_when_overlapping(self, mo):
+        com = profile_of(
+            mo, "a[Time.day, URL.url] o[URL.domain_grp = '.com']", "c"
+        )
+        edu = profile_of(
+            mo,
+            "a[Time.day, URL.url] o[URL.domain_grp = '.edu' AND "
+            "Time.month <= NOW - 6 months]",
+            "e",
+        )
+        recent = profile_of(
+            mo, "a[Time.day, URL.url] o[Time.month >= NOW - 3 months]", "r"
+        )
+        prover = Prover(mo.dimensions)
+        for p1, p2 in [(com, edu), (edu, recent), (com, recent), (edu, edu)]:
+            witness = prover.witness(p1, p2)
+            assert (witness is not None) == prover.overlaps(p1, p2)
+        assert prover.witness(com, edu) is None  # disjoint regions
+        assert prover.witness(edu, recent) is None  # disjoint windows
+        assert prover.witness(com, recent) is not None

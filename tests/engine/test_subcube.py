@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import sanitize
+from repro.core.builder import MOBuilder
 from repro.core.facts import Provenance, aggregate_fact_id
 from repro.engine.disjoint import disjoint_actions
-from repro.engine.subcube import SubCube
+from repro.engine.subcube import FactBlock, SubCube
 from repro.errors import EngineError
 from repro.experiments.paper_example import (
     build_paper_mo,
@@ -247,6 +248,43 @@ class TestFrozenBlock:
             )
             assert_block_fresh(first)
         assert assert_block_fresh(second).text == encoding(first.mo)
+
+
+#: Values and names that spell a fact boundary, or most of one, inside
+#: a JSON string.
+BOUNDARY_LOOKALIKES = (
+    ',{"coordinates":',
+    '"},{"',
+    "]},{",
+    "coordinates",
+    "\\",
+)
+
+
+def test_one_shot_fragments_equal_per_fact_encoding():
+    builder = MOBuilder("Tricky")
+    for name in ("coordinates", "id"):
+        builder.with_dimension(
+            name,
+            [["v"]],
+            [{"v": value} for value in BOUNDARY_LOOKALIKES],
+        )
+    builder.with_measure("coordinates").with_measure("members")
+    for index, value in enumerate(BOUNDARY_LOOKALIKES):
+        other = BOUNDARY_LOOKALIKES[-1 - index]
+        builder.with_fact(
+            f"{value}#{index}",
+            {"coordinates": value, "id": other},
+            {"coordinates": index, "members": -0.0},
+        )
+    mo = builder.build()
+    block = FactBlock.of(mo)
+    entries = mo_facts_to_list(mo)
+    assert block.fragments == {
+        entry["id"]: canonical_json(entry) for entry in entries
+    }
+    assert block.text == canonical_json(entries) == encoding(mo)
+    assert block.crc == zlib.crc32(block.text.encode("utf-8"))
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pathlib
 import jsonschema
 import pytest
 
+from repro.checks.prover import Prover
 from repro.lint import lint_sources, sarif_log
 from tests.lint.test_reporters import SARIF_SUBSET_SCHEMA
 
@@ -31,7 +32,7 @@ def example_mo():
 
 def lint_file(path, mo):
     return lint_sources(
-        [(str(path), path.read_text())], mo.schema, mo.dimensions
+        [(str(path), path.read_text())], mo.schema, Prover(mo.dimensions)
     )
 
 
@@ -121,8 +122,9 @@ class TestBrokenCorpus:
         broken_result, ctx = broken_check
         # The bound context is the action set the lint run analyzed.
         actions = ctx.actions
-        crossings = check_noncrossing(actions, example_mo.dimensions)
-        growings = check_growing(actions, example_mo.dimensions)
+        prover = Prover(example_mo.dimensions)
+        crossings = check_noncrossing(actions, prover)
+        growings = check_growing(actions, prover)
         assert len([d for d in broken_result if d.code == "SDR102"]) == len(
             crossings
         )

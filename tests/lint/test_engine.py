@@ -5,6 +5,7 @@ import pytest
 
 from repro.checks.growing import check_growing
 from repro.checks.noncrossing import check_noncrossing
+from repro.checks.prover import Prover
 from repro.experiments.paper_example import (
     action_a1,
     action_a2,
@@ -18,7 +19,9 @@ from repro.spec.specification import ReductionSpecification
 
 
 def lint_text(text, mo):
-    result, _ = lint_sources([("test.spec", text)], mo.schema, mo.dimensions)
+    result, _ = lint_sources(
+        [("test.spec", text)], mo.schema, Prover(mo.dimensions)
+    )
     return result
 
 
@@ -231,8 +234,9 @@ class TestVerdictAgreement:
     def test_agreement(self, paper_mo, index):
         actions = self.subsets(paper_mo)[index]
         result = lint_bound(actions, paper_mo)
-        crossings = check_noncrossing(actions, paper_mo.dimensions)
-        growings = check_growing(actions, paper_mo.dimensions)
+        prover = Prover(paper_mo.dimensions)
+        crossings = check_noncrossing(actions, prover)
+        growings = check_growing(actions, prover)
         sdr102 = [d for d in result if d.code == "SDR102"]
         sdr103 = [d for d in result if d.code == "SDR103"]
         assert len(sdr102) == len(crossings)

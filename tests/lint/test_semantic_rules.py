@@ -1,11 +1,14 @@
 """Unit tests for the analyzer-backed SDR2xx lint rules and the bound
 context lint_sources returns."""
 
+from repro.checks.prover import Prover
 from repro.lint import Severity, lint_sources
 
 
 def lint_text(text, mo):
-    result, _ = lint_sources([("test.spec", text)], mo.schema, mo.dimensions)
+    result, _ = lint_sources(
+        [("test.spec", text)], mo.schema, Prover(mo.dimensions)
+    )
     return result
 
 
@@ -174,7 +177,7 @@ class TestBindSources:
                 )
             ],
             paper_mo.schema,
-            paper_mo.dimensions,
+            Prover(paper_mo.dimensions),
         )
         # The parse error becomes a front-end diagnostic; the good entry
         # still binds so downstream analyses can run.

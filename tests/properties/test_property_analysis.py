@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import Verdict, reachability, relationship_matrix
-from repro.checks.prover import ProverConfig, sample_times
+from repro.checks.prover import Prover, ProverConfig
 from repro.engine.disjoint import disjoint_actions
 from repro.obs import metrics as obs_metrics
 from repro.query.compare import Approach
@@ -139,7 +139,7 @@ def pair_times(first, second, config):
     profiles = [*profiles_of(first), *profiles_of(second)]
     if not profiles:
         return [config.reference]
-    return sample_times(profiles, config)
+    return Prover(config=config).horizon(profiles)
 
 
 class TestMatrixSoundness:
@@ -148,7 +148,7 @@ class TestMatrixSoundness:
     def test_definite_verdicts_match_ground_truth(self, data):
         mo = data.draw(small_mos())
         actions = data.draw(analyzer_actions(mo))
-        matrix = relationship_matrix(actions, mo.dimensions, PROVER)
+        matrix = relationship_matrix(actions, Prover(mo.dimensions, PROVER))
         truth = GroundTruth(mo.dimensions, bottom_cells(mo))
         by_name = {action.name: action for action in actions}
         for relation in matrix.pairs():
@@ -271,7 +271,7 @@ class TestReachabilitySoundness:
             "o[Time.quarter <= NOW - 2 quarters]",
             "catcher",
         )
-        result = reachability([never, catcher], mo.dimensions, PROVER)
+        result = reachability([never, catcher], Prover(mo.dimensions, PROVER))
         assert "never" in result.unsatisfiable
         specification = ReductionSpecification(
             (never, catcher), mo.dimensions, validate=False
@@ -304,7 +304,7 @@ class TestReachabilitySoundness:
             "folded",
         )
         actions = [com, edu, dead]
-        result = reachability(actions, mo.dimensions, PROVER)
+        result = reachability(actions, Prover(mo.dimensions, PROVER))
         assert "folded" in result.dead
         with_dead = ReductionSpecification(
             tuple(actions), mo.dimensions, validate=False

@@ -21,6 +21,7 @@ from repro.experiments.paper_example import (
     build_paper_mo,
     growing_example_actions,
 )
+from repro.checks.prover import Prover
 from repro.lint import Severity, lint_sources
 from repro.spec.specification import ReductionSpecification
 
@@ -40,7 +41,9 @@ _POOL = (
 def lint_through_source(spec):
     """Lint a bound specification through its source text."""
     text = "".join(f"{a.name}: {a.source}\n" for a in spec)
-    result, _ = lint_sources([(None, text)], _MO.schema, _MO.dimensions)
+    result, _ = lint_sources(
+        [(None, text)], _MO.schema, Prover(_MO.dimensions)
+    )
     return result
 
 

@@ -32,6 +32,26 @@ def stored(tmp_path):
 
 
 class TestCheck:
+    @pytest.mark.parametrize("spec, status", [("paper", 0), ("broken", 1)])
+    @pytest.mark.parametrize("format", ["text", "json", "sarif"])
+    def test_output_matches_golden(
+        self, monkeypatch, capsys, spec, status, format
+    ):
+        # The goldens hold the output byte for byte, paths as given
+        # relative to the repository root.
+        monkeypatch.chdir(REPO)
+        argv = [
+            "check",
+            f"examples/specs/{spec}.spec",
+            "--mo",
+            "examples/click_mo.json",
+            "--format",
+            format,
+        ]
+        assert main(argv) == status
+        golden = REPO / "tests" / "golden" / f"check_{spec}.{format}"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_sound_spec(self, stored, capsys):
         mo_file, spec_file = stored
         assert main(["check", str(spec_file), "--mo", str(mo_file)]) == 0
@@ -141,9 +161,25 @@ class TestCheck:
 
     def test_one_analysis_per_check(self, monkeypatch, capsys):
         from repro.analysis import reachability, relationship_matrix
+        from repro.checks.prover import Prover
         from repro.lint import engine
 
         calls: dict[str, int] = {}
+        # (question, profile ids) -> times the prover worked it out
+        decided: dict[tuple, int] = {}
+
+        def once_per_key(question, method):
+            def wrapper(self, *profiles):
+                key = (question, *map(id, profiles))
+                decided[key] = decided.get(key, 0) + 1
+                return method(self, *profiles)
+
+            return wrapper
+
+        for question in ("_ground", "_meet", "_contains"):
+            monkeypatch.setattr(
+                Prover, question, once_per_key(question, getattr(Prover, question))
+            )
 
         def counted(function):
             def wrapper(*args, **kwargs):
@@ -173,6 +209,10 @@ class TestCheck:
             "reachability": 1,
             "_single_container_shadowed": 1,
         }
+        # Each profile is grounded once; each ordered pair's overlap and
+        # containment is decided at most once.
+        assert {key[0] for key in decided} == {"_ground", "_meet", "_contains"}
+        assert set(decided.values()) == {1}
 
 
 #: An MO document the model layer refuses: ``avg`` is not distributive.
